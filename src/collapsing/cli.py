@@ -9,6 +9,7 @@ search.  Machine output is JSON (CSV for tables); rationals serialize as
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -288,7 +289,7 @@ def cmd_search(args) -> int:
     values = (-1, 0, 1)
     candidates = [
         tuple(v)
-        for v in __import__("itertools").product(values, repeat=d)
+        for v in itertools.product(values, repeat=d)
         if any(c != 0 for c in v)
     ]
     family = make_family(linf_space(d), candidates)

@@ -115,29 +115,20 @@ def greedy_unit_vectors(
     """Seeded rejection greedy: sample unit directions, accept when all
     pairwise inner products stay strictly below ``delta``.
 
-    Draws at most ``max_trials`` samples in total, so in particular
-    ``max_trials`` consecutive rejections end the search.  The achieved
-    count is whatever it is; no cardinality guarantee is asserted at
-    small d."""
+    Draws exactly ``max_trials`` samples.  The achieved count is whatever
+    it is; no cardinality guarantee is asserted at small d."""
     if not 0 < delta <= 1:
         raise PreconditionError("need 0 < delta <= 1")
     rng = np.random.default_rng(seed)
     accepted = np.zeros((0, d))
-    rejections = 0
     for _ in range(max_trials):
-        if rejections >= max_trials:
-            break
         v = rng.standard_normal(d)
         nrm = float(np.linalg.norm(v))
         if nrm < 1e-12:
-            rejections += 1
             continue
         v = v / nrm
         if accepted.shape[0] == 0 or float(np.abs(accepted @ v).max()) < delta:
             accepted = np.vstack([accepted, v])
-            rejections = 0
-        else:
-            rejections += 1
     coords = tuple(tuple(float(c) for c in v) for v in accepted)
     return AlmostOrthogonalSet(
         dim=d, coords=coords, scale_sq=1.0, bound=delta, strict=True

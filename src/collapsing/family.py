@@ -6,16 +6,26 @@ weakly balancing when the origin lies in the relative interior of the
 convex hull.  All verifiers return ``ConditionReport`` certificates whose
 witness indices are 1-based, matching the JSON certificate format.
 
-The k-subset scan walks the revolving-door order, so each step updates the
-running sum with one vector addition and one subtraction.  Exact-mode
-comparisons are exact; float mode accepts ``1 + TOLERANCE``.
+Every subset-sum check is one loop, ``_scan``, over a stream of subsets.
+It moves the running sum from one subset to the next by their symmetric
+difference and rebuilds it from zero when the difference is larger than
+the new subset.  The exhaustive k-scan streams the revolving-door order,
+where the difference is one swap (one addition and one subtraction); with
+``threads > 1`` its C(m, k) ranks are split into contiguous ranges, one
+scanned in-process and the rest in a process pool, and the parts are
+merged by max margin and min witness.  The full scan streams the
+revolving-door order size by size, and the sampled mode streams seeded
+random k-subsets.  Exact-mode comparisons are exact; float mode accepts
+``1 + TOLERANCE``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Sequence
 
@@ -23,7 +33,7 @@ from .errors import DimensionMismatchError, PreconditionError
 from .lp import OPTIMAL, linprog_exact
 from .scalars import TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, vectors_exact
 from .spaces import NormSpace, norm_eval, space_from_json, space_to_json
-from .subsets import gray_flips, lex_range, revolving_door, sample_subsets
+from .subsets import revolving_door, sample_subsets
 
 FULL_COLLAPSE_MAX_M = 24  # 2^m enumeration guard
 
@@ -94,6 +104,47 @@ def _limit(exact: bool):
     return 1 if exact else 1.0 + TOLERANCE
 
 
+def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
+    """The one subset-sum loop: (worst norm, lex smallest violating subset).
+
+    The running sum moves from one subset to the next by their symmetric
+    difference, or is rebuilt from zero when the difference is larger than
+    the new subset.  The witness is a sorted 1-based tuple; both results
+    are None for an empty stream.
+    """
+    limit = _limit(exact)
+    space, vectors = family.space, family.vectors
+    dim = len(vectors[0])
+    running = [0] * dim
+    current: set = set()
+    worst = None
+    witness = None
+    for subset in subsets:
+        new = set(subset)
+        added, removed = new - current, current - new
+        if len(added) + len(removed) > len(new):
+            running = [0] * dim
+            added, removed = new, ()
+        for i in added:
+            _vec_add(running, vectors[i])
+        for i in removed:
+            _vec_sub(running, vectors[i])
+        current = new
+        nrm = norm_eval(space, tuple(running))
+        if worst is None or nrm > worst:
+            worst = nrm
+        if nrm > limit:
+            cand = tuple(sorted(i + 1 for i in subset))
+            if witness is None or cand < witness:
+                witness = cand
+    return worst, witness
+
+
+def _scan_ranks(family: VectorFamily, k: int, start: int, stop: int, exact: bool):
+    """``_scan`` over revolving-door ranks [start, stop); picklable for the pool."""
+    return _scan(family, islice(revolving_door(family.m, k), start, stop), exact)
+
+
 def check_k_collapsing(
     family: VectorFamily,
     k: int,
@@ -105,164 +156,58 @@ def check_k_collapsing(
 
     The report carries the worst subset-sum norm as ``margin`` and the
     lexicographically smallest violating subset as ``witness``; both are
-    deterministic, also under the partitioned parallel scan.
+    deterministic, also when the ranks are split across ``threads``
+    processes (at most ``os.cpu_count()`` and C(m, k) of them).
     """
     m = family.m
     if not 1 <= k <= m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
+    if threads < 1:
+        raise PreconditionError(f"need threads >= 1, got {threads}")
     total = comb(m, k)
     exact = family.is_exact()
-    if budget is not None and total > budget:
+    sampled = budget is not None and total > budget
+    if sampled:
         if seed is None:
             raise PreconditionError(
                 f"C({m},{k}) = {total} exceeds the budget {budget}; provide a seed "
                 "to run the sampled mode"
             )
-        return _scan_sampled(family, k, budget, seed, exact)
-    if threads > 1:
-        return _scan_parallel(family, k, threads, exact)
-    limit = _limit(exact)
-    space, vectors = family.space, family.vectors
-    running = [0] * len(vectors[0])
-    current: set = set()
-    worst = None
-    witness = None
-    first = True
-    for subset in revolving_door(m, k):
-        new = set(subset)
-        if first:
-            for i in new:
-                _vec_add(running, vectors[i])
-            first = False
+        worst, witness = _scan(family, sample_subsets(m, k, budget, seed), exact)
+    else:
+        threads = min(threads, total, os.cpu_count() or 1)
+        bounds = [total * i // threads for i in range(threads + 1)]
+        jobs = [(family, k, bounds[i], bounds[i + 1], exact) for i in range(threads)]
+        if threads == 1:
+            parts = [_scan_ranks(*jobs[0])]
         else:
-            for i in new - current:
-                _vec_add(running, vectors[i])
-            for i in current - new:
-                _vec_sub(running, vectors[i])
-        current = new
-        nrm = norm_eval(space, tuple(running))
-        if worst is None or nrm > worst:
-            worst = nrm
-        if nrm > limit:
-            cand = tuple(sorted(i + 1 for i in subset))
-            if witness is None or cand < witness:
-                witness = cand
+            import multiprocessing as mp
+
+            # The first range runs here while the pool scans the others.
+            with mp.Pool(processes=threads - 1) as pool:
+                rest = pool.starmap_async(_scan_ranks, jobs[1:])
+                parts = [_scan_ranks(*jobs[0])] + rest.get()
+        worst = max(w for w, _ in parts)
+        witness = min((w for _, w in parts if w is not None), default=None)
     return ConditionReport(
         condition="k-collapsing",
         holds=witness is None,
         margin=worst,
         witness=witness,
         k=k,
-        exact=exact,
-    )
-
-
-def _scan_chunk(family: VectorFamily, k: int, start: int, stop: int, exact: bool):
-    limit = _limit(exact)
-    space, vectors = family.space, family.vectors
-    worst = None
-    witness = None
-    prev: tuple | None = None
-    running = [0] * len(vectors[0])
-    for subset in lex_range(start, stop, family.m, k):
-        if prev is None:
-            for i in subset:
-                _vec_add(running, vectors[i])
-        else:
-            for i in set(subset) - set(prev):
-                _vec_add(running, vectors[i])
-            for i in set(prev) - set(subset):
-                _vec_sub(running, vectors[i])
-        prev = subset
-        nrm = norm_eval(space, tuple(running))
-        if worst is None or nrm > worst:
-            worst = nrm
-        if nrm > limit:
-            cand = tuple(sorted(i + 1 for i in subset))
-            if witness is None or cand < witness:
-                witness = cand
-    return worst, witness
-
-
-def _scan_parallel(family: VectorFamily, k: int, threads: int, exact: bool) -> ConditionReport:
-    """Partition lexicographic ranks into chunks; merge deterministically."""
-    import multiprocessing as mp
-
-    total = comb(family.m, k)
-    threads = max(1, min(threads, total))
-    bounds = [total * i // threads for i in range(threads + 1)]
-    jobs = [
-        (family, k, bounds[i], bounds[i + 1], exact)
-        for i in range(threads)
-        if bounds[i] < bounds[i + 1]
-    ]
-    with mp.Pool(processes=len(jobs)) as pool:
-        parts = pool.starmap(_scan_chunk, jobs)
-    worst = max((w for w, _ in parts if w is not None), default=None)
-    witnesses = [w for _, w in parts if w is not None]
-    witness = min(witnesses) if witnesses else None
-    return ConditionReport(
-        condition="k-collapsing",
-        holds=witness is None,
-        margin=worst,
-        witness=witness,
-        k=k,
-        exact=exact,
-    )
-
-
-def _scan_sampled(family: VectorFamily, k: int, budget: int, seed: int, exact: bool) -> ConditionReport:
-    limit = _limit(exact)
-    space, vectors = family.space, family.vectors
-    worst = None
-    witness = None
-    for subset in sample_subsets(family.m, k, budget, seed):
-        s = [0] * len(vectors[0])
-        for i in subset:
-            _vec_add(s, vectors[i])
-        nrm = norm_eval(space, tuple(s))
-        if worst is None or nrm > worst:
-            worst = nrm
-        if nrm > limit:
-            cand = tuple(sorted(i + 1 for i in subset))
-            if witness is None or cand < witness:
-                witness = cand
-    return ConditionReport(
-        condition="k-collapsing",
-        holds=witness is None,
-        margin=worst,
-        witness=witness,
-        k=k,
-        sampled=True,
+        sampled=sampled,
         exact=exact,
     )
 
 
 def check_full_collapsing(family: VectorFamily) -> ConditionReport:
-    """All nonempty subset sums, via the binary reflected Gray code."""
+    """All nonempty subset sums, size by size in revolving-door order."""
     m = family.m
     if m > FULL_COLLAPSE_MAX_M:
         raise PreconditionError(f"full collapsing enumeration capped at m = {FULL_COLLAPSE_MAX_M}")
     exact = family.is_exact()
-    limit = _limit(exact)
-    space, vectors = family.space, family.vectors
-    running = [0] * len(vectors[0])
-    members = [False] * m
-    worst = None
-    witness = None
-    for flip in gray_flips(m):
-        if members[flip]:
-            _vec_sub(running, vectors[flip])
-        else:
-            _vec_add(running, vectors[flip])
-        members[flip] = not members[flip]
-        nrm = norm_eval(space, tuple(running))
-        if worst is None or nrm > worst:
-            worst = nrm
-        if nrm > limit:
-            cand = tuple(i + 1 for i in range(m) if members[i])
-            if witness is None or cand < witness:
-                witness = cand
+    subsets = chain.from_iterable(revolving_door(m, s) for s in range(1, m + 1))
+    worst, witness = _scan(family, subsets, exact)
     return ConditionReport(
         condition="full-collapsing",
         holds=witness is None,
@@ -348,7 +293,7 @@ def scalar_k_collapsing(values: Sequence[Scalar], k: int, want_witness: bool = F
     holds = margin <= limit
     witness = None
     if not holds and want_witness:
-        for subset in lex_range(0, comb(m, k), m, k):
+        for subset in combinations(range(m), k):
             if abs(sum(values[i] for i in subset)) > limit:
                 witness = tuple(i + 1 for i in subset)
                 break

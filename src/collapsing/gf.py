@@ -92,8 +92,6 @@ class PrimePowerField:
         self.q = q
         self.p, self.e = pe
         self.modulus = list(irreducible_poly(self.p, self.e)) if self.e > 1 else None
-        if self.e > 1:
-            self._mul_table = None
 
     def elements(self) -> range:
         return range(self.q)

@@ -31,14 +31,18 @@ class LPResult:
     duals: list[Fraction] | None = None
 
 
-def _simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Minimize cost over the tableau in place; Bland's rule, no cycling."""
+def _simplex(
+    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction], nenter: int
+) -> str:
+    """Minimize cost over the tableau in place; Bland's rule, no cycling.
+
+    Only the first ``nenter`` columns may enter the basis.
+    """
     nrows = len(tableau)
-    ncols = len(tableau[0]) - 1
     while True:
         # reduced costs: c_j - c_B . column_j
         entering = -1
-        for j in range(ncols):
+        for j in range(nenter):
             red = cost[j] - sum(cost[basis[i]] * tableau[i][j] for i in range(nrows))
             if red < 0:
                 entering = j
@@ -58,13 +62,18 @@ def _simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fractio
                     leaving = i
         if leaving < 0:
             return UNBOUNDED
-        pv = tableau[leaving][entering]
-        tableau[leaving] = [x / pv for x in tableau[leaving]]
-        for i in range(nrows):
-            if i != leaving and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leaving])]
+        _pivot(tableau, leaving, entering)
         basis[leaving] = entering
+
+
+def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan pivot on tableau[row][col], in place."""
+    pv = tableau[row][col]
+    tableau[row] = [x / pv for x in tableau[row]]
+    for i, other in enumerate(tableau):
+        if i != row and other[col] != 0:
+            f = other[col]
+            tableau[i] = [x - f * y for x, y in zip(other, tableau[row])]
 
 
 def solve_standard(
@@ -87,7 +96,7 @@ def solve_standard(
     tableau = [rows[i] + [Fraction(int(i == j)) for j in range(nrows)] + [rhs[i]] for i in range(nrows)]
     basis = [ncols + i for i in range(nrows)]
     phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * nrows
-    status = _simplex(tableau, basis, phase1_cost)
+    status = _simplex(tableau, basis, phase1_cost, ncols + nrows)
     if status != OPTIMAL:
         return LPResult(status=INFEASIBLE)
     value = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
@@ -99,59 +108,17 @@ def solve_standard(
         if basis[i] >= ncols:
             entering = next((j for j in range(ncols) if tableau[i][j] != 0), None)
             if entering is not None:
-                pv = tableau[i][entering]
-                tableau[i] = [x / pv for x in tableau[i]]
-                for r in range(nrows):
-                    if r != i and tableau[r][entering] != 0:
-                        f = tableau[r][entering]
-                        tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[i])]
+                _pivot(tableau, i, entering)
                 basis[i] = entering
 
-    # Phase 2 on the same tableau; artificial columns get prohibitive cost
-    # only implicitly: their reduced costs never go negative because we keep
-    # their cost at zero and forbid them from entering.
+    # Phase 2 on the same tableau.  Artificial columns keep cost zero and
+    # may not re-enter, so redundant rows keep their zero-valued artificial.
     phase2_cost = c + [Fraction(0)] * nrows
-
-    nall = ncols + nrows
-
-    def phase2() -> str:
-        while True:
-            entering = -1
-            for j in range(ncols):  # artificials never re-enter
-                red = phase2_cost[j] - sum(
-                    phase2_cost[basis[i]] * tableau[i][j] for i in range(nrows)
-                )
-                if red < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return OPTIMAL
-            leaving = -1
-            best_ratio = None
-            for i in range(nrows):
-                av = tableau[i][entering]
-                if av > 0:
-                    ratio = tableau[i][-1] / av
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leaving]
-                    ):
-                        best_ratio = ratio
-                        leaving = i
-            if leaving < 0:
-                return UNBOUNDED
-            pv = tableau[leaving][entering]
-            tableau[leaving] = [x / pv for x in tableau[leaving]]
-            for i in range(nrows):
-                if i != leaving and tableau[i][entering] != 0:
-                    f = tableau[i][entering]
-                    tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leaving])]
-            basis[leaving] = entering
-
-    status = phase2()
+    status = _simplex(tableau, basis, phase2_cost, ncols)
     if status != OPTIMAL:
         return LPResult(status=UNBOUNDED)
 
-    x = [Fraction(0)] * nall
+    x = [Fraction(0)] * (ncols + nrows)
     for i in range(nrows):
         x[basis[i]] = tableau[i][-1]
     objective = sum(ci * xi for ci, xi in zip(c, x[:ncols]))

@@ -1,17 +1,16 @@
-"""k-subset enumeration: revolving-door order, lex ranking, Gray codes.
+"""Subset streams for the subset-sum scans: revolving door and seeded samples.
 
-The revolving-door (Nijenhuis-Wilf) order visits all k-subsets of [n] so
-that consecutive subsets differ by exactly one element swapped in and one
-swapped out; a running vector sum then needs one addition and one
-subtraction per step.  Lexicographic unranking partitions the C(n,k) ranks
-into contiguous chunks for parallel scans with a deterministic merge.
+The revolving-door order (Nijenhuis and Wilf, *Combinatorial Algorithms*)
+visits all k-subsets of [n] so that consecutive subsets differ by exactly
+one element swapped in and one swapped out; a running vector sum then needs
+one addition and one subtraction per step.  Contiguous ranges of its ranks
+are what a parallel scan hands to each worker.
 """
 
 from __future__ import annotations
 
 import random
-from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 def revolving_door(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -38,62 +37,8 @@ def revolving_door(n: int, k: int) -> Iterator[tuple[int, ...]]:
     return gen(n, k, True)
 
 
-def unrank_lex(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """Subset at position ``rank`` in lexicographic order of sorted tuples."""
-    if not 0 <= rank < comb(n, k):
-        raise ValueError("rank out of range")
-    subset = []
-    x = 0
-    for i in range(k):
-        # smallest admissible element whose block covers the remaining rank
-        while True:
-            block = comb(n - x - 1, k - i - 1)
-            if rank < block:
-                subset.append(x)
-                x += 1
-                break
-            rank -= block
-            x += 1
-    return tuple(subset)
-
-
-def lex_successor(subset: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """Next k-subset of range(n) in lex order, or None at the end."""
-    k = len(subset)
-    s = list(subset)
-    for i in range(k - 1, -1, -1):
-        if s[i] < n - k + i:
-            s[i] += 1
-            for j in range(i + 1, k):
-                s[j] = s[j - 1] + 1
-            return tuple(s)
-    return None
-
-
-def lex_range(start: int, stop: int, n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Subsets with lex ranks in [start, stop)."""
-    if start >= stop:
-        return
-    s = unrank_lex(start, n, k)
-    for _ in range(stop - start):
-        yield s
-        s = lex_successor(s, n)
-        if s is None:
-            break
-
-
 def sample_subsets(n: int, k: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:
     """``count`` independent uniform k-subsets from a seeded generator."""
     rng = random.Random(seed)
     for _ in range(count):
         yield tuple(sorted(rng.sample(range(n), k)))
-
-
-def gray_flips(n: int) -> Iterator[int]:
-    """Flip positions of the binary reflected Gray code over n bits.
-
-    Starting from the empty set, toggling the yielded index at each of the
-    2^n - 1 steps visits every nonempty subset exactly once.
-    """
-    for i in range(1, 1 << n):
-        yield (i & -i).bit_length() - 1

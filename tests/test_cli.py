@@ -127,3 +127,12 @@ def test_threads_flag(tmp_path, capsys):
                     "--k", "3", "--threads", "2")
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+def test_threads_zero_is_usage_error(tmp_path, capsys):
+    run(capsys, "construct", "--kind", "cross", "--params", "d=2",
+        "--out", str(tmp_path / "f.json"))
+    code, out = run(capsys, "verify", "--family", str(tmp_path / "f.json"),
+                    "--k", "2", "--threads", "0")
+    assert code == 2
+    assert out == ""

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +23,44 @@ from collapsing.family import (
     normalisation_check,
     scalar_k_collapsing,
 )
-from collapsing.spaces import linf_space, lp_space, norm_eval
+from collapsing.spaces import l1_subspace, linf_space, lp_space, norm_eval, slab_space
+from collapsing.subsets import sample_subsets
 
 
 def sign_vectors(d):
     return [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+
+
+def drawn_family(data, m):
+    """A family of m drawn vectors in a drawn space (sup norm, a slab space
+    with a cap, or an l1 subspace), with the space's norm as a plain formula."""
+    kind = data.draw(st.sampled_from(("linf", "slab", "l1sub")))
+    coeff = st.integers(-2, 2)
+    if kind == "linf":
+        d = data.draw(st.integers(1, 3))
+        vectors = [tuple(data.draw(coeff) for _ in range(d)) for _ in range(m)]
+        return make_family(linf_space(d), vectors), lambda x: max(abs(c) for c in x)
+    halves = [F(data.draw(coeff), 2) for _ in range(2 * m)]
+    pairs = list(zip(halves[::2], halves[1::2]))
+    if kind == "slab":
+        # rows (1, 0) and (1, 1), cap |x_1 - x_2| <= 2
+        space = slab_space([(1, 0), (1, 1)], cap=((1, -1), 2))
+        return make_family(space, pairs), lambda x: max(
+            abs(x[0]), abs(x[0] + x[1]), abs(x[0] - x[1]) / 2
+        )
+    basis = ((1, 0, 1, -1), (0, 1, -1, 1))
+    vectors = [tuple(a * u + b * v for u, v in zip(*basis)) for a, b in pairs]
+    return make_family(l1_subspace(4, basis), vectors), lambda x: sum(abs(c) for c in x)
+
+
+def brute_force(vectors, norm, subsets):
+    """Worst norm and lex smallest violating 1-based subset, one sum at a time."""
+    sums = {
+        idx: norm([sum(F(vectors[i][c]) for i in idx) for c in range(len(vectors[0]))])
+        for idx in subsets
+    }
+    violators = [tuple(i + 1 for i in idx) for idx, s in sums.items() if s > 1]
+    return max(sums.values()), min(violators, default=None)
 
 
 class TestKCollapsing:
@@ -74,47 +108,61 @@ class TestKCollapsing:
         with pytest.raises(PreconditionError):
             check_k_collapsing(family, 5)
 
+    def test_threads_clamped_to_cpu_count(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("a pool was started for a one-CPU scan")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        family = make_family(linf_space(3), sign_vectors(3)[:12])
+        report = check_k_collapsing(family, 3, threads=4)
+        assert report == check_k_collapsing(family, 3)
+
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_scan_matches_brute_force(self, data):
         m = data.draw(st.integers(2, 7))
-        d = data.draw(st.integers(1, 3))
         k = data.draw(st.integers(1, m))
-        vectors = [
-            tuple(data.draw(st.integers(-2, 2)) for _ in range(d)) for _ in range(m)
-        ]
-        family = make_family(linf_space(d), vectors)
-        report = check_k_collapsing(family, k)
-        sums = {
-            idx: max(abs(sum(vectors[i][c] for i in idx)) for c in range(d))
-            for idx in itertools.combinations(range(m), k)
-        }
-        assert report.margin == max(sums.values())
-        violators = sorted(
-            tuple(i + 1 for i in idx) for idx, s in sums.items() if s > 1
-        )
-        assert report.witness == (violators[0] if violators else None)
-        assert report.holds == (not violators)
+        threads = data.draw(st.sampled_from((1, 2)))
+        family, norm = drawn_family(data, m)
+        report = check_k_collapsing(family, k, threads=threads)
+        worst, witness = brute_force(family.vectors, norm, itertools.combinations(range(m), k))
+        assert report.margin == worst
+        assert report.witness == witness
+        assert report.holds == (witness is None)
+        assert not report.sampled
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sampled_scan_matches_brute_force(self, data):
+        m = data.draw(st.integers(3, 7))
+        k = data.draw(st.integers(1, m - 1))
+        budget = data.draw(st.integers(1, comb(m, k) - 1))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        family, norm = drawn_family(data, m)
+        report = check_k_collapsing(family, k, budget=budget, seed=seed)
+        worst, witness = brute_force(family.vectors, norm, sample_subsets(m, k, budget, seed))
+        assert report.sampled
+        assert report.margin == worst
+        assert report.witness == witness
+        assert report.holds == (witness is None)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_full_scan_matches_brute_force(self, data):
         m = data.draw(st.integers(1, 6))
-        vectors = [
-            tuple(data.draw(st.integers(-2, 2)) for _ in range(2)) for _ in range(m)
-        ]
-        family = make_family(linf_space(2), vectors)
+        family, norm = drawn_family(data, m)
         report = check_full_collapsing(family)
-        worst = 0
-        violators = []
-        for size in range(1, m + 1):
-            for idx in itertools.combinations(range(m), size):
-                s = max(abs(sum(vectors[i][c] for i in idx)) for c in range(2))
-                worst = max(worst, s)
-                if s > 1:
-                    violators.append(tuple(i + 1 for i in idx))
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(m), size) for size in range(1, m + 1)
+        )
+        worst, witness = brute_force(family.vectors, norm, subsets)
         assert report.margin == worst
-        assert report.witness == (min(violators) if violators else None)
+        assert report.witness == witness
+        assert report.holds == (witness is None)
 
 
 class TestFullCollapsing:

@@ -4,14 +4,7 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsing.subsets import (
-    gray_flips,
-    lex_range,
-    lex_successor,
-    revolving_door,
-    sample_subsets,
-    unrank_lex,
-)
+from collapsing.subsets import revolving_door, sample_subsets
 
 
 @given(st.integers(0, 9), st.data())
@@ -30,40 +23,6 @@ def test_revolving_door_single_swap(n, data):
     seq = list(revolving_door(n, k))
     for a, b in zip(seq, seq[1:]):
         assert len(set(a) ^ set(b)) == 2
-
-
-def test_unrank_lex_enumerates_in_order():
-    subsets = [unrank_lex(r, 6, 3) for r in range(comb(6, 3))]
-    assert subsets == sorted(subsets)
-    assert subsets == list(itertools.combinations(range(6), 3))
-
-
-def test_lex_successor_chains():
-    cur = (0, 1, 2)
-    seen = [cur]
-    while (cur := lex_successor(cur, 5)) is not None:
-        seen.append(cur)
-    assert seen == list(itertools.combinations(range(5), 3))
-
-
-@given(st.integers(1, 8), st.data())
-@settings(max_examples=40, deadline=None)
-def test_lex_range_partitions(n, data):
-    k = data.draw(st.integers(1, n))
-    total = comb(n, k)
-    cut = data.draw(st.integers(0, total))
-    first = list(lex_range(0, cut, n, k))
-    second = list(lex_range(cut, total, n, k))
-    assert first + second == list(itertools.combinations(range(n), k))
-
-
-def test_gray_code_covers_all_nonempty_subsets():
-    current: set[int] = set()
-    seen = set()
-    for flip in gray_flips(5):
-        current ^= {flip}
-        seen.add(frozenset(current))
-    assert len(seen) == 2**5 - 1
 
 
 def test_sampler_is_deterministic():
