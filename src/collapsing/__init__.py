@@ -60,7 +60,6 @@ from .spaces import (
     lp_space,
     norm_eval,
     slab_space,
-    vpolytope_space,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import InvariantError, PreconditionError
+from .gf import is_prime_power
 from .scalars import Scalar
 
 E = math.e
@@ -340,25 +341,6 @@ def lb_greedy(k: int, d: int) -> BoundResult:
         applicable=True, value=val, value_int=math.floor(val),
         note="requires sufficiently large d", asymptotic=True,
     )
-
-
-def is_prime_power(q: int) -> tuple[int, int] | None:
-    """(p, e) with q = p^e for prime p, else None."""
-    if q < 2:
-        return None
-    n = q
-    p = None
-    for f in range(2, isqrt(q) + 1):
-        if n % f == 0:
-            p = f
-            break
-    if p is None:
-        return (q, 1)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return (p, e) if n == 1 else None
 
 
 def largest_prime_power(d: int) -> int | None:

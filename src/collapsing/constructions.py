@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .family import ScalarFamily, VectorFamily, make_family
 from .gf import PrimePowerField
 from .linalg import dot, nullspace, rank_exact, rank_float
 from .scalars import Scalar
-from .spaces import NormSpace, l1_subspace, linf_space, slab_space, vpolytope_space
+from .spaces import NormSpace, l1_subspace, linf_space, slab_space
 
 
 @dataclass(frozen=True)
@@ -87,22 +88,23 @@ def linf_cross(d: int) -> VectorFamily:
 
 
 def pk_polytope_norm(d: int, k: int) -> NormSpace:
-    """The gauge whose unit ball is the convex hull of the signed 0/1
-    vectors with at most k nonzero entries (every k-subset sum of the
-    signed basis).  For k >= d it coincides with the sup norm."""
+    """The layered-cube norm: its unit ball is the convex hull of the signed
+    0/1 vectors with at most k nonzero entries (every k-subset sum of the
+    signed basis).  For k >= d it coincides with the sup norm.
+
+    The ball is the slab intersection {||x||_inf <= 1, ||x||_1 <= k}: the
+    rows e_i bound each coordinate, and the rows s/k bound <s, x> for every
+    sign vector s (s and -s give the same slab, so s_1 = +1).  Every vertex
+    above satisfies both bounds; conversely |x| lies in
+    {y in [0, 1]^d : sum(y) <= k}, whose constraint matrix is totally
+    unimodular, so its vertices are the 0/1 vectors with at most k ones and
+    x is a convex combination of their signed copies."""
     if d < 1 or k < 2:
         raise PreconditionError("need d >= 1 and k >= 2")
-    from itertools import combinations, product
-
-    vertices = []
-    for size in range(1, min(k, d) + 1):
-        for subset in combinations(range(d), size):
-            for signs in product((1, -1), repeat=size):
-                v = [0] * d
-                for pos, sign in zip(subset, signs):
-                    v[pos] = sign
-                vertices.append(tuple(v))
-    return vpolytope_space(vertices)
+    rows = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    for signs in product((1, -1), repeat=d - 1):
+        rows.append(tuple(Fraction(s, k) for s in (1,) + signs))
+    return slab_space(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,8 @@ def check_k_collapsing(
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     if threads < 1:
         raise PreconditionError(f"need threads >= 1, got {threads}")
+    if budget is not None and budget < 1:
+        raise PreconditionError(f"need budget >= 1, got {budget}")
     total = comb(m, k)
     exact = family.is_exact()
     sampled = budget is not None and total > budget

@@ -10,9 +10,28 @@ transcription risk; results are cached per q.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .errors import PreconditionError
-from .bounds import is_prime_power
+
+
+def is_prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for prime p, else None."""
+    if q < 2:
+        return None
+    n = q
+    p = None
+    for f in range(2, isqrt(q) + 1):
+        if n % f == 0:
+            p = f
+            break
+    if p is None:
+        return (q, 1)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:

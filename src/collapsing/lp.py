@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import solve_square
 from .scalars import Scalar
 
 OPTIMAL = "optimal"
@@ -25,10 +24,9 @@ UNBOUNDED = "unbounded"
 class LPResult:
     status: str
     objective: Fraction | None = None
+    # Primal optimum only: no caller needs dual multipliers, so none are
+    # computed.
     x: list[Fraction] | None = None
-    # One multiplier per constraint of the problem as posed (ub rows first,
-    # then eq rows), from the optimal basis of the standard-form program.
-    duals: list[Fraction] | None = None
 
 
 def _simplex(
@@ -85,12 +83,10 @@ def solve_standard(
     c = [Fraction(v) for v in c]
     rows = [[Fraction(x) for x in row] for row in a]
     rhs = [Fraction(v) for v in b]
-    row_sign = [1] * nrows
     for i in range(nrows):
         if rhs[i] < 0:
             rows[i] = [-x for x in rows[i]]
             rhs[i] = -rhs[i]
-            row_sign[i] = -1
 
     # Phase 1: artificial variable per row.
     tableau = [rows[i] + [Fraction(int(i == j)) for j in range(nrows)] + [rhs[i]] for i in range(nrows)]
@@ -122,21 +118,7 @@ def solve_standard(
     for i in range(nrows):
         x[basis[i]] = tableau[i][-1]
     objective = sum(ci * xi for ci, xi in zip(c, x[:ncols]))
-
-    # Duals: solve B^T y = c_B against the original column data.  Stacking
-    # the basis columns as rows yields exactly B^T in row-major form.
-    columns = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    art_columns = [[Fraction(int(i == j)) for i in range(nrows)] for j in range(nrows)]
-    bmat = []
-    cb = []
-    for bi in basis:
-        bmat.append(columns[bi] if bi < ncols else art_columns[bi - ncols])
-        cb.append(phase2_cost[bi])
-    y = solve_square(bmat, cb)
-    duals = None
-    if y is not None:
-        duals = [row_sign[i] * y[i] for i in range(nrows)]
-    return LPResult(status=OPTIMAL, objective=objective, x=x[:ncols], duals=duals)
+    return LPResult(status=OPTIMAL, objective=objective, x=x[:ncols])
 
 
 def linprog_exact(
@@ -202,4 +184,4 @@ def linprog_exact(
     x = []
     for p, m in col_of:
         x.append(res.x[p] - (res.x[m] if m is not None else 0))
-    return LPResult(status=OPTIMAL, objective=res.objective, x=x, duals=res.duals)
+    return LPResult(status=OPTIMAL, objective=res.objective, x=x)

@@ -74,12 +74,12 @@ class RankCertificate:
 
 def gram_from_family(family: VectorFamily) -> CollapseMatrix:
     """Pairing matrix of the family against its dual unit vectors."""
-    duals = []
+    functionals = []
     for i, v in enumerate(family.vectors):
         if norm_eval(family.space, v) == 0:
             raise PreconditionError(f"vector {i + 1} is zero and has no dual unit vector")
-        duals.append(dual_unit_vector(family.space, v))
-    rows = [tuple(dot(f, x) for x in family.vectors) for f in duals]
+        functionals.append(dual_unit_vector(family.space, v))
+    rows = [tuple(dot(f, x) for x in family.vectors) for f in functionals]
     return make_matrix(rows)
 
 

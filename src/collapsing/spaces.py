@@ -1,14 +1,13 @@
 """Finite-dimensional normed spaces: norms, dual norms, dual unit vectors.
 
-Supported space kinds:
+Three space kinds are supported:
 
 * ``lp``    -- the p-norms on R^d, 1 <= p <= inf (``math.inf`` for sup norm);
 * ``slab``  -- the gauge of an origin-symmetric intersection of slabs
-  ``{x : |<y_i, x>| <= 1}``, optionally capped by ``|<e', x>| <= lam``;
+  ``{x : |<y_i, x>| <= 1}``, optionally capped by ``|<e', x>| <= lam``
+  (the lifted families and the layered-cube norm are slab spaces);
 * ``l1sub`` -- a subspace of an ambient l1 space, vectors given in ambient
-  coordinates;
-* ``vpoly`` -- the gauge of a symmetric polytope given by its vertices
-  (used only for the layered-cube construction).
+  coordinates.
 
 A vector is a plain tuple of scalars of length ``ambient_dim``.  Dual unit
 vectors on non-smooth norms use lowest-index tie-breaking so that all
@@ -45,13 +44,12 @@ class NormSpace:
     """Immutable description of a d-dimensional normed space."""
 
     dim: int
-    kind: str  # "lp" | "slab" | "l1sub" | "vpoly"
+    kind: str  # "lp" | "slab" | "l1sub"
     p: object = None
     functionals: tuple = ()
     cap: tuple | None = None  # (direction, bound)
     ambient: int | None = None
     basis: tuple = ()
-    vertices: tuple = ()
 
     @property
     def ambient_dim(self) -> int:
@@ -65,8 +63,6 @@ class NormSpace:
                 data += list(self.cap[0]) + [self.cap[1]]
         elif self.kind == "l1sub":
             data = [c for b in self.basis for c in b]
-        elif self.kind == "vpoly":
-            data = [c for v in self.vertices for c in v]
         return is_exact(data)
 
 
@@ -116,17 +112,6 @@ def l1_subspace(ambient: int, basis: Sequence[Sequence[Scalar]]) -> NormSpace:
     if r != len(bas):
         raise PreconditionError("l1-subspace basis is linearly dependent")
     return NormSpace(dim=len(bas), kind="l1sub", ambient=ambient, basis=bas)
-
-
-def vpolytope_space(vertices: Sequence[Sequence[Scalar]]) -> NormSpace:
-    verts = tuple(tuple(v) for v in vertices)
-    dim = len(verts[0])
-    vset = set(verts)
-    if any(tuple(-c for c in v) not in vset for v in verts):
-        raise PreconditionError("vertex set must be origin-symmetric")
-    if rank_exact(verts) < dim:
-        raise PreconditionError("polytope vertices do not span the space")
-    return NormSpace(dim=dim, kind="vpoly", vertices=verts)
 
 
 def _check_vec(space: NormSpace, x: Sequence[Scalar]) -> None:
@@ -182,35 +167,7 @@ def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:
     if space.kind == "l1sub":
         _l1sub_membership(space, x)
         return sum(abs(c) for c in x)
-    if space.kind == "vpoly":
-        return _vpoly_gauge(space, x)[0]
     raise ValueError(f"unknown space kind {space.kind}")
-
-
-def _vpoly_gauge(space: NormSpace, x: Sequence[Scalar]):
-    """Gauge of the vertex polytope via the exact mass-minimising LP.
-
-    Returns (gauge, dual functional) where the functional y satisfies
-    <y, x> = gauge and max_v <y, v> = 1.
-    """
-    exact_input = is_exact(x)
-    xr = [snap_rational(c) for c in x]
-    if all(c == 0 for c in xr):
-        zero = Fraction(0) if exact_input else 0.0
-        return zero, None
-    verts = space.vertices
-    a_eq = [[Fraction(v[i]) for v in verts] for i in range(space.dim)]
-    res = linprog_exact([Fraction(1)] * len(verts), a_eq=a_eq, b_eq=xr)
-    if res.status != OPTIMAL:
-        raise PreconditionError("gauge LP infeasible: vertices do not span the space")
-    gauge = res.objective
-    y = res.duals
-    if not exact_input:
-        gauge = float(gauge)
-        y = None if y is None else tuple(float(c) for c in y)
-    else:
-        y = None if y is None else tuple(y)
-    return gauge, y
 
 
 def dual_norm_eval(space: NormSpace, f: Sequence[Scalar]) -> Scalar:
@@ -263,9 +220,6 @@ def dual_norm_eval(space: NormSpace, f: Sequence[Scalar]) -> Scalar:
         if res.status != OPTIMAL:
             raise PreconditionError("dual-norm LP failed")
         return res.objective if exact_input else float(res.objective)
-    if space.kind == "vpoly":
-        # support function over a symmetric vertex set
-        return max(abs(dot(f, v)) for v in space.vertices)
     raise ValueError(f"unknown space kind {space.kind}")
 
 
@@ -298,11 +252,6 @@ def dual_unit_vector(space: NormSpace, x: Sequence[Scalar]) -> Vec:
         return tuple(sign * c for c in rows[j])
     if space.kind == "l1sub":
         return tuple((c > 0) - (c < 0) for c in x)
-    if space.kind == "vpoly":
-        gauge, y = _vpoly_gauge(space, x)
-        if y is None:
-            raise PreconditionError("gauge LP did not produce a dual certificate")
-        return y
     raise ValueError(f"unknown space kind {space.kind}")
 
 
@@ -334,12 +283,6 @@ def space_to_json(space: NormSpace) -> dict:
             "ambient": space.ambient,
             "basis": [[format_scalar(c) for c in b] for b in space.basis],
         }
-    if space.kind == "vpoly":
-        return {
-            "dim": space.dim,
-            "kind": "vpoly",
-            "vertices": [[format_scalar(c) for c in v] for v in space.vertices],
-        }
     raise ValueError(space.kind)
 
 
@@ -368,6 +311,4 @@ def space_from_json(desc: dict) -> NormSpace:
         return l1_subspace(
             desc["ambient"], [[parse_scalar(c) for c in b] for b in desc["basis"]]
         )
-    if kind == "vpoly":
-        return vpolytope_space([[parse_scalar(c) for c in v] for v in desc["vertices"]])
     raise ValueError(f"unknown space kind {kind!r}")

@@ -112,7 +112,7 @@ def test_construct_fixture_and_lift(tmp_path, capsys):
     assert code == 0
     code, out = run(capsys, "construct", "--kind", "pk", "--params", "d=3,k=2")
     assert code == 0
-    assert json.loads(out)["space"]["kind"] == "vpoly"
+    assert json.loads(out)["space"]["kind"] == "slab"
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
@@ -136,3 +136,29 @@ def test_threads_zero_is_usage_error(tmp_path, capsys):
                     "--k", "2", "--threads", "0")
     assert code == 2
     assert out == ""
+
+
+def test_budget_zero_is_usage_error(tmp_path, capsys):
+    # The exhaustive scan rejects this family with witness [1, 2]; a sampled
+    # scan of zero subsets must not report that it holds.
+    family = {"space": {"dim": 1, "kind": "linf"}, "vectors": [[1], [1], [1]]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(family))
+    code, out = run(capsys, "verify", "--family", str(path), "--k", "2",
+                    "--budget", "0", "--seed", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_vpoly_space_kind_is_usage_error(tmp_path, capsys):
+    family = {
+        "space": {"dim": 1, "kind": "vpoly", "vertices": [[1], [-1]]},
+        "vectors": [[1], [-1]],
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(family))
+    code = main(["verify", "--family", str(path), "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown space kind" in captured.err

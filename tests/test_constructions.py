@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsing.constructions import (
     AlmostOrthogonalSet,
@@ -27,7 +29,8 @@ from collapsing.family import (
     scalar_k_collapsing,
 )
 from collapsing.linalg import dot
-from collapsing.spaces import linf_space, norm_eval
+from collapsing.lp import OPTIMAL, linprog_exact
+from collapsing.spaces import dual_unit_vector, linf_space, norm_eval
 
 
 class TestCross:
@@ -47,7 +50,44 @@ class TestCross:
         assert all(c == 0 for c in total)
 
 
+def layered_cube_vertices(d, k):
+    """The signed 0/1 vectors with at most k nonzero entries."""
+    vertices = []
+    for size in range(1, min(k, d) + 1):
+        for subset in itertools.combinations(range(d), size):
+            for signs in itertools.product((1, -1), repeat=size):
+                v = [0] * d
+                for pos, sign in zip(subset, signs):
+                    v[pos] = sign
+                vertices.append(tuple(v))
+    return vertices
+
+
+def vertex_gauge(vertices, x):
+    """min sum(lam) subject to V lam = x, lam >= 0: the gauge of conv(V)."""
+    a_eq = [[v[i] for v in vertices] for i in range(len(x))]
+    res = linprog_exact([1] * len(vertices), a_eq=a_eq, b_eq=list(x))
+    assert res.status == OPTIMAL
+    return res.objective
+
+
 class TestLayeredCubeGauge:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_vertex_hull_gauge(self, data):
+        d = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(2, d + 1))
+        coord = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6)
+        x = tuple(data.draw(st.lists(coord, min_size=d, max_size=d)))
+        space = pk_polytope_norm(d, k)
+        vertices = layered_cube_vertices(d, k)
+        nrm = norm_eval(space, x)
+        assert nrm == vertex_gauge(vertices, x)
+        if nrm != 0:
+            f = dual_unit_vector(space, x)
+            assert dot(f, x) == nrm
+            assert max(abs(dot(f, v)) for v in vertices) == 1
+
     def test_full_diagonal_vertex(self):
         space = pk_polytope_norm(3, 3)
         assert norm_eval(space, (1, 1, 1)) == 1

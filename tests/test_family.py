@@ -87,6 +87,12 @@ class TestKCollapsing:
         with pytest.raises(PreconditionError):
             check_k_collapsing(family, 5, budget=10)
 
+    def test_budget_below_one_rejected(self):
+        family = make_family(linf_space(1), [(1,), (1,), (1,)])
+        for budget in (0, -1):
+            with pytest.raises(PreconditionError):
+                check_k_collapsing(family, 2, budget=budget, seed=1)
+
     def test_sampled_mode_flags_report(self):
         family = linf_cross(5)
         report = check_k_collapsing(family, 5, budget=10, seed=3)

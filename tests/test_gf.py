@@ -73,3 +73,27 @@ def test_distinct_polynomials_agree_rarely():
         for b in keys[i + 1 :]:
             agree = sum(x == y for x, y in zip(tables[a], tables[b]))
             assert agree <= s
+
+
+def test_gf_does_not_import_the_bound_engine():
+    # The package __init__ imports everything, so stand the package up
+    # without running it and import only gf and what gf itself imports.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import collapsing
+
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('collapsing')\n"
+        f"pkg.__path__ = [{str(Path(collapsing.__file__).parent)!r}]\n"
+        "sys.modules['collapsing'] = pkg\n"
+        "import collapsing.gf\n"
+        "assert collapsing.gf.is_prime_power(9) == (3, 2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('collapsing.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert "collapsing.gf" in out
+    assert "collapsing.bounds" not in out

@@ -17,7 +17,6 @@ from collapsing.spaces import (
     slab_space,
     space_from_json,
     space_to_json,
-    vpolytope_space,
 )
 
 rational = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5)
@@ -150,8 +149,12 @@ def test_norm_axioms(space_index, data):
     assert norm_eval(space, tuple(t * c for c in x)) == abs(t) * nx
 
 
+# The hexagon conv{+-e1, +-e2, +-(1, 1)} as the intersection of its three
+# facet slabs.
+HEXAGON = slab_space([(1, 0), (0, 1), (-1, 1)])
+
 LP_SPACES = [
-    vpolytope_space([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]),
+    HEXAGON,
     l1_subspace(3, [(1, -1, 0), (1, 1, 1)]),
 ]
 
@@ -199,13 +202,12 @@ def test_slab_requires_spanning():
     slab_space([(1, 0, 0), (0, 1, 0)], cap=((0, 0, 1), 2))
 
 
-def test_vpolytope_gauge_and_dual():
-    hexagon = vpolytope_space([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
-    assert norm_eval(hexagon, (1, 1)) == 1
-    assert norm_eval(hexagon, (1, -1)) == 2
-    y = dual_unit_vector(hexagon, (1, -1))
+def test_hexagon_slab_gauge_and_dual():
+    assert norm_eval(HEXAGON, (1, 1)) == 1
+    assert norm_eval(HEXAGON, (1, -1)) == 2
+    y = dual_unit_vector(HEXAGON, (1, -1))
     assert dot(y, (1, -1)) == 2
-    assert dual_norm_eval(hexagon, y) == 1
+    assert dual_norm_eval(HEXAGON, y) == 1
 
 
 def test_json_roundtrip():
@@ -214,7 +216,6 @@ def test_json_roundtrip():
         lp_space(3, 2),
         slab_space([(1, 0), (0, 1)], cap=((1, 1), F(3, 2))),
         l1_subspace(3, [(1, -1, 0), (0, 0, 1)]),
-        vpolytope_space([(1, 0), (-1, 0), (0, 1), (0, -1)]),
     ]
     for s in spaces:
         assert space_from_json(space_to_json(s)) == s
