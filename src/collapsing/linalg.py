@@ -1,15 +1,22 @@
 """Exact rational linear algebra: row reduction, rank, solving, nullspaces.
 
-Everything here works on nested sequences of ``int``/``Fraction``.  Integer
-matrices go through fraction-free Bareiss elimination for rank (much faster
-than generic Fraction pivoting); everything else uses plain rational
-Gauss-Jordan.  Float matrices are handled by numpy with a relative singular
+Exact rank, solutions and nullspaces are all read off one fraction-free
+Gauss-Jordan elimination, ``rref``, on nested sequences of ``int`` and
+``Fraction``.  Each row is first scaled by the lcm of its denominators,
+which keeps the row space, so the elimination runs on Python ints.  Every
+later step replaces a row by ``(pivot * row - f * pivot_row) //
+previous_pivot``; by Sylvester's determinant identity every entry is then an
+integer minor of the scaled matrix, so the division is exact and the
+entries grow only as fast as those minors (Bareiss 1968).  One division by
+the last pivot at the end gives the reduced row echelon form over the
+rationals.  Float matrices are handled by numpy with a relative singular
 value cutoff.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -20,65 +27,39 @@ Row = list
 Matrix = list
 
 
-def _copy(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        # A list, not a generator: unpacking a generator builds the argument
+        # tuple by resizing, and CPython then parks each freed tuple on a
+        # free list that never reuses it (about 0.3 MB per row length).
+        scale = lcm(*[x.denominator for x in row])
+        m.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        pv = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    return [[Fraction(x, prev) for x in row] for row in m], pivots
 
 
 def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    if all(isinstance(x, int) for row in rows for x in row):
-        return _rank_bareiss([list(row) for row in rows])
     return len(rref(rows)[1])
-
-
-def _rank_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination; intermediate entries stay integral."""
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            m[i] = [(pv * m[i][j] - f * m[r][j]) // prev for j in range(ncols)]
-        prev = pv
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
 
 
 def rank_float(rows: Sequence[Sequence[float]], tol: float = TOLERANCE) -> int:
@@ -94,19 +75,10 @@ def rank_float(rows: Sequence[Sequence[float]], tol: float = TOLERANCE) -> int:
 def solve_square(a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction] | None:
     """Unique solution of a square rational system, or None if singular."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    red, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n] for row in red]
 
 
 def solve_consistent(a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list[Fraction] | None:
@@ -114,15 +86,11 @@ def solve_consistent(a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> list
     if not a:
         return [] if all(x == 0 for x in b) else None
     ncols = len(a[0])
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
+    red, pivots = rref([list(row) + [b[i]] for i, row in enumerate(a)])
+    if ncols in pivots:
+        return None  # pivot in the rhs column: inconsistent
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        if c == ncols:
-            return None  # pivot in the rhs column: inconsistent
         x[c] = red[r][ncols]
     return x
 

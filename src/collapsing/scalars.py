@@ -10,10 +10,10 @@ regime it is in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Iterable, Union
 
-from .errors import BackendMixError
+from .errors import BackendMixError, PreconditionError
 
 Scalar = Union[int, Fraction, float]
 
@@ -66,17 +66,21 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
 
 
 def parse_scalar(s):
-    """Parse a JSON scalar: 'p/q' strings are exact, numbers stay native."""
+    """Parse a JSON scalar: 'p/q' strings are exact, finite numbers stay native.
+
+    A zero denominator, a boolean, NaN, an infinity or any other type raises
+    ``PreconditionError``.
+    """
     if isinstance(s, str):
         num, _, den = s.partition("/")
+        if den and int(den) == 0:
+            raise PreconditionError(f"zero denominator in scalar {s!r}")
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    if isinstance(s, bool):
-        raise TypeError("boolean is not a scalar")
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return s
-    if isinstance(s, float):
+    if isinstance(s, float) and isfinite(s):
         return s
-    raise TypeError(f"cannot parse scalar {s!r}")
+    raise PreconditionError(f"cannot parse scalar {s!r}")
 
 
 def format_scalar(x: Scalar):

@@ -150,6 +150,18 @@ def test_budget_zero_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("bad", ['"1/0"', "true", "NaN", "null"])
+def test_malformed_scalar_is_usage_error(tmp_path, capsys, bad):
+    # A NaN coordinate makes every norm comparison false, so it used to pass
+    # as a family that holds.
+    path = tmp_path / "f.json"
+    path.write_text('{"space": {"dim": 2, "kind": "linf"}, '
+                    '"vectors": [[%s, 0.5], [0.5, 0.5]]}' % bad)
+    code, out = run(capsys, "verify", "--family", str(path), "--k", "2")
+    assert code == 2
+    assert out == ""
+
+
 def test_vpoly_space_kind_is_usage_error(tmp_path, capsys):
     family = {
         "space": {"dim": 1, "kind": "vpoly", "vertices": [[1], [-1]]},

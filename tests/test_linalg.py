@@ -32,11 +32,75 @@ def test_rank_examples():
     assert rank_float([[1.0, 2.0], [2.0, 4.0]]) == 1
 
 
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=2, max_size=5))
-@settings(max_examples=100, deadline=None)
-def test_rank_bareiss_matches_rref(rows):
-    as_fr = [[F(x) for x in row] for row in rows]
-    assert rank_exact(rows) == len(rref(as_fr)[1])
+def reference_rref(rows):
+    """Plain Fraction Gauss-Jordan: the reference for the fraction-free rref."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def rational_systems(draw):
+    """A rectangular matrix, some of whose rows combine earlier ones, and a rhs."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-5, 5), rational)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(rational, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+@given(rational_systems())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_reference(system):
+    rows, b = system
+    ncols = len(rows[0])
+    ref, ref_pivots = reference_rref(rows)
+    assert rref(rows) == (ref, ref_pivots)
+    rank = len(ref_pivots)
+    assert rank_exact(rows) == rank
+
+    n = min(len(rows), ncols)
+    square = [row[:n] for row in rows[:n]]
+    x = solve_square(square, b[:n])
+    if len(reference_rref(square)[1]) < n:
+        assert x is None
+    else:
+        square_ref, _ = reference_rref([row + [b[i]] for i, row in enumerate(square)])
+        assert x == [row[n] for row in square_ref]
+        assert [dot(row, x) for row in square] == b[:n]
+
+    x = solve_consistent(rows, b)
+    if len(reference_rref([row + [b[i]] for i, row in enumerate(rows)])[1]) > rank:
+        assert x is None
+    else:
+        assert [dot(row, x) for row in rows] == b
+
+    basis = nullspace(rows)
+    assert len(basis) == ncols - rank
+    assert all(dot(row, v) == 0 for row in rows for v in basis)
+    assert len(reference_rref(basis)[1]) == len(basis)
 
 
 @given(st.lists(st.lists(rational, min_size=4, max_size=4), min_size=2, max_size=4))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsing import spaces
 from collapsing.constructions import linf_cross
 from collapsing.errors import PreconditionError
 from collapsing.family import check_k_collapsing, check_strong_balancing, make_family
@@ -63,6 +65,22 @@ class TestGram:
         fam = make_family(linf_space(2), [(0, 0)])
         with pytest.raises(PreconditionError):
             gram_from_family(fam)
+
+    def test_one_norm_evaluation_per_vector(self):
+        fam = linf_cross(4)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is spaces.norm_eval.__code__:
+                calls.append(event)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            gram_from_family(fam)
+        finally:
+            sys.setprofile(outer)
+        assert len(calls) == fam.m
 
 
 class TestFamilyFromMatrix:
