@@ -53,7 +53,6 @@ from .matrixform import (
 from .simplexopt import OptResult, max_pow_general, max_sq_balanced, vertex_oracle
 from .spaces import (
     NormSpace,
-    dual_norm_eval,
     dual_unit_vector,
     l1_subspace,
     linf_space,

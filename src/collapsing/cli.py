@@ -3,7 +3,10 @@
 Subcommands: verify, bound, table1, construct, gram, oracle, pipeline,
 search.  Machine output is JSON (CSV for tables); rationals serialize as
 "p/q" strings.  Exit codes: 0 success / condition holds, 1 condition fails
-(witness emitted), 2 usage error, 3 internal invariant breach.
+(witness emitted), 2 usage error, 3 internal invariant breach.  A
+``KeyError``, ``TypeError`` or ``ValueError`` counts as a usage error only
+while an input file or ``--params`` is read; raised anywhere else it is a
+bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -83,9 +86,20 @@ def _emit_csv(header, rows) -> None:
         print(",".join(str(format_scalar(v)) if isinstance(v, Fraction) else str(v) for v in row))
 
 
-def _load_family(path: str):
+def _load_json(path: str, build):
+    """``build`` applied to the JSON in ``path``; malformed input is a usage error."""
     with open(path) as fh:
-        return family_from_json(json.load(fh))
+        try:
+            return build(json.load(fh))
+        except CollapsingError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise PreconditionError(f"malformed input {path}: {detail}") from exc
+
+
+def _load_family(path: str):
+    return _load_json(path, family_from_json)
 
 
 def _parse_value(text: str):
@@ -107,6 +121,19 @@ def _parse_params(spec: str | None) -> dict:
             raise PreconditionError(f"bad --params item {item!r}; expected key=value")
         out[key.strip()] = _parse_value(value.strip())
     return out
+
+
+def _param(params: dict, key: str, conv=int, default=None):
+    """The ``--params`` value of ``key`` through ``conv``; a missing or
+    malformed value is a usage error."""
+    if key not in params:
+        if default is None:
+            raise PreconditionError(f"--params needs {key}=...")
+        return default
+    try:
+        return conv(params[key])
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"bad --params value {key}={params[key]}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -167,18 +194,25 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
+def _greedy(params: dict):
+    return greedy_unit_vectors(
+        _param(params, "d"), _param(params, "delta", float), _param(params, "seed"),
+        _param(params, "trials", int, 100_000),
+    )
+
+
 def cmd_construct(args) -> int:
     params = _parse_params(args.params)
     kind = args.kind
     payload: dict
     if kind == "cross":
-        family = linf_cross(int(params["d"]))
+        family = linf_cross(_param(params, "d"))
         payload = family_to_json(family)
     elif kind == "pk":
-        space = pk_polytope_norm(int(params["d"]), int(params["k"]))
+        space = pk_polytope_norm(_param(params, "d"), _param(params, "k"))
         payload = {"space": space_to_json(space)}
     elif kind == "poly":
-        aos = polynomial_vectors(FiniteFieldParams(int(params["q"]), int(params["s"])))
+        aos = polynomial_vectors(FiniteFieldParams(_param(params, "q"), _param(params, "s")))
         payload = {
             "m": aos.m,
             "dim": aos.dim,
@@ -187,33 +221,23 @@ def cmd_construct(args) -> int:
             "coords": [[format_scalar(c) for c in v] for v in aos.coords],
         }
     elif kind == "lift":
-        source = params.get("source", "poly")
+        source = _param(params, "source", str, "poly")
         if source == "poly":
-            aos = polynomial_vectors(FiniteFieldParams(int(params["q"]), int(params["s"])))
+            aos = polynomial_vectors(FiniteFieldParams(_param(params, "q"), _param(params, "s")))
         elif source == "greedy":
-            if "seed" not in params:
-                raise PreconditionError("greedy lift requires seed=...")
-            aos = greedy_unit_vectors(
-                int(params["d"]), float(params["delta"]), int(params["seed"]),
-                int(params.get("trials", 100_000)),
-            )
+            aos = _greedy(params)
         else:
             raise PreconditionError(f"unknown lift source {source!r}")
-        _, family = lift_almost_orthogonal(aos, int(params["k"]))
+        _, family = lift_almost_orthogonal(aos, _param(params, "k"))
         payload = family_to_json(family)
     elif kind == "greedy":
-        if "seed" not in params:
-            raise PreconditionError("greedy construction requires seed=...")
-        aos = greedy_unit_vectors(
-            int(params["d"]), float(params["delta"]), int(params["seed"]),
-            int(params.get("trials", 100_000)),
-        )
+        aos = _greedy(params)
         payload = {"m": aos.m, "coords": [list(v) for v in aos.coords]}
     elif kind == "fixtureX":
-        family = fixture_X(int(params["d"]), params["eps"])
+        family = fixture_X(_param(params, "d"), _param(params, "eps", Fraction))
         payload = family_to_json(family)
     elif kind == "fixtureY":
-        family = fixture_Y(int(params["d"]))
+        family = fixture_Y(_param(params, "d"))
         payload = family_to_json(family)
     else:
         raise PreconditionError(f"unknown construction kind {kind!r}")
@@ -231,8 +255,7 @@ def cmd_gram(args) -> int:
     if args.family:
         matrix = gram_from_family(_load_family(args.family))
     else:
-        with open(args.matrix) as fh:
-            matrix = matrix_from_json(json.load(fh))
+        matrix = _load_json(args.matrix, matrix_from_json)
     if args.normalize:
         matrix = row_normalize(matrix)
     out = matrix_to_json(matrix)
@@ -389,7 +412,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (PreconditionError, CollapsingError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (CollapsingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

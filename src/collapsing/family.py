@@ -16,7 +16,9 @@ scanned in-process and the rest in a process pool, and the parts are
 merged by max margin and min witness.  The full scan streams the
 revolving-door order size by size, and the sampled mode streams seeded
 random k-subsets.  Exact-mode comparisons are exact; float mode accepts
-``1 + TOLERANCE``.
+``1 + TOLERANCE``.  In exact mode an lp norm with an integer 1 < p < inf is
+irrational in general, so the scans compare the exact p-th power
+sum |c|^p with 1 instead, and report it as the margin with ``margin_pow``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, InvariantError, PreconditionError
 from .lp import OPTIMAL, linprog_exact
 from .scalars import TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, vectors_exact
 from .spaces import NormSpace, norm_eval, space_from_json, space_to_json
@@ -77,9 +79,16 @@ class ConditionReport:
     k: int | None = None
     sampled: bool = False
     exact: bool = True
+    margin_pow: int | None = None  # the margin is the norm to this power
+
+    def __post_init__(self):
+        if self.exact and isinstance(self.margin, float):
+            raise InvariantError(
+                f"exact {self.condition} report carries the float margin {self.margin!r}"
+            )
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "condition": self.condition,
             "k": self.k,
             "holds": self.holds,
@@ -88,6 +97,9 @@ class ConditionReport:
             "sampled": self.sampled,
             "mode": "exact" if self.exact else "float",
         }
+        if self.margin_pow is not None:
+            out["margin_pow"] = self.margin_pow
+        return out
 
 
 def _vec_add(a: list, b: Sequence[Scalar]) -> None:
@@ -104,16 +116,41 @@ def _limit(exact: bool):
     return 1 if exact else 1.0 + TOLERANCE
 
 
+def _norm_power(space: NormSpace, exact: bool) -> int | None:
+    """The power of the norm that the checks compare with 1, or None for the norm.
+
+    In exact mode an lp norm with 1 < p < inf is compared through its p-th
+    power, which is rational; that needs an integer p.
+    """
+    if not exact or space.kind != "lp" or space.p in (1, math.inf):
+        return None
+    if space.p != int(space.p):
+        raise PreconditionError(
+            f"exact mode needs an integer p in an lp space, got p = {format_scalar(space.p)}"
+        )
+    return int(space.p)
+
+
+def _gauge(space: NormSpace, exact: bool):
+    """The function of a sum that the checks compare with 1: the norm, or its power."""
+    p = _norm_power(space, exact)
+    if p is None:
+        return lambda x: norm_eval(space, x)
+    return lambda x: sum(abs(c) ** p for c in x)
+
+
 def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
-    """The one subset-sum loop: (worst norm, lex smallest violating subset).
+    """The one subset-sum loop: (worst gauge, lex smallest violating subset).
 
     The running sum moves from one subset to the next by their symmetric
     difference, or is rebuilt from zero when the difference is larger than
-    the new subset.  The witness is a sorted 1-based tuple; both results
-    are None for an empty stream.
+    the new subset.  The gauge is the norm, or its p-th power (``_gauge``).
+    The witness is a sorted 1-based tuple; both results are None for an
+    empty stream.
     """
     limit = _limit(exact)
-    space, vectors = family.space, family.vectors
+    vectors = family.vectors
+    gauge = _gauge(family.space, exact)
     dim = len(vectors[0])
     running = [0] * dim
     current: set = set()
@@ -130,7 +167,7 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
         for i in removed:
             _vec_sub(running, vectors[i])
         current = new
-        nrm = norm_eval(space, tuple(running))
+        nrm = gauge(tuple(running))
         if worst is None or nrm > worst:
             worst = nrm
         if nrm > limit:
@@ -199,6 +236,7 @@ def check_k_collapsing(
         k=k,
         sampled=sampled,
         exact=exact,
+        margin_pow=_norm_power(family.space, exact),
     )
 
 
@@ -216,6 +254,7 @@ def check_full_collapsing(family: VectorFamily) -> ConditionReport:
         margin=worst,
         witness=witness,
         exact=exact,
+        margin_pow=_norm_power(family.space, exact),
     )
 
 
@@ -224,10 +263,11 @@ def check_strong_balancing(family: VectorFamily) -> ConditionReport:
     total = [0] * len(family.vectors[0])
     for v in family.vectors:
         _vec_add(total, v)
-    nrm = norm_eval(family.space, tuple(total))
+    nrm = _gauge(family.space, exact)(tuple(total))
     holds = nrm == 0 if exact else nrm <= TOLERANCE
     return ConditionReport(
-        condition="strong-balancing", holds=holds, margin=nrm, exact=exact
+        condition="strong-balancing", holds=holds, margin=nrm, exact=exact,
+        margin_pow=_norm_power(family.space, exact),
     )
 
 

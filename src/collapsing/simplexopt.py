@@ -9,8 +9,10 @@ vertices carry the maximum of the convex objective.
 
 ``max_sq_balanced`` and ``max_pow_general`` return the closed-form values;
 ``vertex_oracle`` recomputes the maximum independently by exact
-enumeration of the polytope vertices (active-set combinations over the
-rationals) and is the reference the closed forms are tested against.
+enumeration of the polytope vertices and is the reference the closed forms
+are tested against.  The sort-order rows form a chain, so a basis is a
+partition of a_1..a_{m-1} into at most five constant blocks, and each
+vertex is the solution of an at most 5 x 5 system in the block values.
 All arithmetic in this module is exact rational; there is no float path.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import PreconditionError
 from .linalg import solve_square
@@ -113,22 +115,22 @@ def _constraints(m: int, k: int, balanced: bool):
     The balanced case adds the equality sum(a) = -1.
     """
     n = m - 1
-    ineqs: list[tuple[list[Fraction], Fraction]] = []
+    ineqs: list[tuple[list[int], Fraction]] = []
     for i in range(n - 1):
-        row = [Fraction(0)] * n
-        row[i], row[i + 1] = Fraction(-1), Fraction(1)
+        row = [0] * n
+        row[i], row[i + 1] = -1, 1
         ineqs.append((row, Fraction(0)))
 
     def prefix(j: int, sign: int, rhs) -> None:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for i in range(j):
-            row[i] = Fraction(sign)
+            row[i] = sign
         ineqs.append((row, Fraction(rhs)))
 
     def suffix(j: int, sign: int, rhs) -> None:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for i in range(n - j, n):
-            row[i] = Fraction(sign)
+            row[i] = sign
         ineqs.append((row, Fraction(rhs)))
 
     prefix(k - 1, +1, 0)   # largest k-1 entries plus a_m stay within 1
@@ -137,34 +139,61 @@ def _constraints(m: int, k: int, balanced: bool):
     suffix(k, -1, 1)       # smallest k entries among a_1..a_{m-1}
     eqs = []
     if balanced:
-        eqs.append(([Fraction(1)] * n, Fraction(-1)))
+        eqs.append(([1] * n, Fraction(-1)))
     return ineqs, eqs
+
+
+def _vertices(m: int, k: int, balanced: bool) -> set[tuple]:
+    """Every vertex of the sorted feasible set, solved basis by basis.
+
+    A basis of the n = m-1 unknowns is n - #eq active inequalities: some of
+    the sort-order rows a_i >= a_{i+1} and a subset S of the four
+    prefix/suffix rows.  The sort-order rows form a chain, so the active
+    ones glue a_1..a_n into |S| + #eq constant blocks, and the basis is one
+    square system of size at most 5 in the block values.  Its entries are
+    the rows' sums over each block.  It is nonsingular exactly when the
+    n x n system is, and it has the same solution; that solution is a
+    vertex when the block values are non-increasing and the four rows
+    hold.  All C(n+3, n-#eq) bases are solved.
+    """
+    ineqs, eqs = _constraints(m, k, balanced)
+    n = m - 1
+    # The four prefix/suffix rows follow the n-1 sort-order rows; the
+    # equality, if any, comes after them.  A row's sum over the block
+    # [lo, hi) is cum[hi] - cum[lo].
+    rows = ineqs[n - 1:] + eqs
+    cums = [list(accumulate(row, initial=0)) for row, _ in rows]
+    vertices: set[tuple] = set()
+    for size in range(5):
+        for chosen in combinations(range(4), size):
+            active = [*chosen, *range(4, len(rows))]
+            if not active:
+                continue  # n unknowns, only n-1 sort-order rows
+            # The inactive sort-order rows are the cuts between the blocks.
+            for inner in combinations(range(1, n), len(active) - 1):
+                blocks = list(zip((0, *inner), (*inner, n)))
+                sums = [[cum[hi] - cum[lo] for lo, hi in blocks] for cum in cums]
+                sol = solve_square([sums[r] for r in active], [rows[r][1] for r in active])
+                if sol is None or any(a < b for a, b in zip(sol, sol[1:])):
+                    continue
+                if all(sum(c * y for c, y in zip(row_sums, sol)) <= b
+                       for row_sums, (_, b) in zip(sums, rows[:4])):
+                    vertices.add(tuple(y for (lo, hi), y in zip(blocks, sol)
+                                       for _ in range(lo, hi)))
+    return vertices
 
 
 def vertex_oracle(m: int, k: int, p: int = 1, balanced: bool = False) -> OptResult:
     """Exact maximum by enumerating polytope vertices over the rationals.
 
-    Every vertex is the solution of some maximal set of active constraints;
-    we solve all square active-set systems, keep the feasible solutions, and
-    maximise the objective over them.  Independent of the closed forms.
+    The vertices come from ``_vertices``, one at most 5 x 5 block system per
+    basis.  Ties go to the smallest vertex in tuple order.  Independent of
+    the closed forms.
     """
     if m > 16:
         raise PreconditionError("vertex enumeration capped at m = 16")
     _check_range(m, k, p, balanced=balanced)
-    ineqs, eqs = _constraints(m, k, balanced)
-    n = m - 1
-    need = n - len(eqs)
-    vertices: set[tuple] = set()
-    for active in combinations(range(len(ineqs)), need):
-        rows = [eq[0] for eq in eqs] + [ineqs[i][0] for i in active]
-        rhs = [eq[1] for eq in eqs] + [ineqs[i][1] for i in active]
-        sol = solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if all(
-            sum(c * x for c, x in zip(row, sol)) <= b for row, b in ineqs
-        ):
-            vertices.add(tuple(sol))
+    vertices = _vertices(m, k, balanced)
     if not vertices:
         raise PreconditionError("constraint polytope is empty")
     best_value = None

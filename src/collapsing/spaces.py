@@ -1,4 +1,4 @@
-"""Finite-dimensional normed spaces: norms, dual norms, dual unit vectors.
+"""Finite-dimensional normed spaces: norms and dual unit vectors.
 
 Three space kinds are supported:
 
@@ -24,15 +24,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, PreconditionError
-from .linalg import dot, nullspace, rank_exact, rank_float, solve_consistent, transpose
-from .lp import OPTIMAL, linprog_exact
+from .linalg import dot, rank_exact, rank_float, solve_consistent, transpose
 from .scalars import (
     TOLERANCE,
     Scalar,
     format_scalar,
     is_exact,
     parse_scalar,
-    snap_rational,
     sqrt_exact,
 )
 
@@ -167,59 +165,6 @@ def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:
     if space.kind == "l1sub":
         _l1sub_membership(space, x)
         return sum(abs(c) for c in x)
-    raise ValueError(f"unknown space kind {space.kind}")
-
-
-def dual_norm_eval(space: NormSpace, f: Sequence[Scalar]) -> Scalar:
-    """Norm of the functional ``f`` (acting by the standard pairing)."""
-    _check_vec(space, f)
-    if space.kind == "lp":
-        p = space.p
-        if p == math.inf:
-            return norm_eval(lp_space(space.dim, 1), f)
-        if p == 1:
-            return norm_eval(lp_space(space.dim, math.inf), f)
-        q = p / (p - 1) if p != 2 else 2
-        return norm_eval(lp_space(space.dim, q), f)
-    if space.kind == "slab":
-        # Dual ball of an intersection of slabs is the convex hull of the
-        # +- functionals: minimise total |coefficient| of a decomposition.
-        rows = _slab_rows(space)
-        exact_input = is_exact(f) and space.is_exact()
-        fr = [snap_rational(c) for c in f]
-        n = len(rows)
-        cols = [[snap_rational(row[i]) for row in rows] for i in range(space.dim)]
-        # variables c_j split into +/- inside linprog_exact via free vars:
-        # min sum t_j with -t_j <= c_j <= t_j is equivalent to splitting.
-        cost = [Fraction(1)] * (2 * n)
-        a_eq = [
-            [cols[i][j] for j in range(n)] + [-cols[i][j] for j in range(n)]
-            for i in range(space.dim)
-        ]
-        res = linprog_exact(cost, a_eq=a_eq, b_eq=fr)
-        if res.status != OPTIMAL:
-            raise PreconditionError("functional outside the span of the slab functionals")
-        return res.objective if exact_input else float(res.objective)
-    if space.kind == "l1sub":
-        # ||f|_X||* = min over w in the annihilator of X of ||f + w||_inf.
-        exact_input = is_exact(f) and space.is_exact()
-        fr = [snap_rational(c) for c in f]
-        ann = nullspace([[snap_rational(c) for c in b] for b in space.basis])
-        n_amb, n_ann = space.ambient, len(ann)
-        # variables: w coefficients (free), t >= 0; minimise t
-        cost = [Fraction(0)] * n_ann + [Fraction(1)]
-        a_ub = []
-        b_ub = []
-        for i in range(n_amb):
-            row_w = [ann[j][i] for j in range(n_ann)]
-            a_ub.append(row_w + [Fraction(-1)])
-            b_ub.append(-fr[i])
-            a_ub.append([-c for c in row_w] + [Fraction(-1)])
-            b_ub.append(fr[i])
-        res = linprog_exact(cost, a_ub=a_ub, b_ub=b_ub, nonneg=[False] * n_ann + [True])
-        if res.status != OPTIMAL:
-            raise PreconditionError("dual-norm LP failed")
-        return res.objective if exact_input else float(res.objective)
     raise ValueError(f"unknown space kind {space.kind}")
 
 

@@ -174,3 +174,64 @@ def test_vpoly_space_kind_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "unknown space kind" in captured.err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_exact_lp_tiny_excess_fails(tmp_path, capsys, p):
+    # (1/2, 1e-10) + (1/2, 0) has lp norm just above 1; a rounded root reads 1.
+    family = {"space": {"dim": 2, "kind": "lp", "p": p},
+              "vectors": [["1/2", "1/10000000000"], ["1/2", 0]]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(family))
+    code, out = run(capsys, "verify", "--family", str(path), "--k", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["witness"] == [1, 2]
+    assert report["mode"] == "exact"
+    assert report["margin_pow"] == p
+    assert report["margin"] == f"{10 ** (10 * p) + 1}/{10 ** (10 * p)}"
+
+
+def test_exact_lp_non_integer_p_is_usage_error(tmp_path, capsys):
+    family = {"space": {"dim": 2, "kind": "lp", "p": "5/2"}, "vectors": [[1, 0], [0, 1]]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(family))
+    code, out = run(capsys, "verify", "--family", str(path), "--k", "1")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"space": {"dim": 2, "kind": "linf"}, "vectors": 3}',  # vectors not a list
+    '{"space": {"dim": 2}, "vectors": [[1, 0]]}',  # no space kind
+])
+def test_malformed_family_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code = main(["verify", "--family", str(path), "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "malformed input" in captured.err
+
+
+@pytest.mark.parametrize("params", ["", "d=abc"])
+def test_bad_params_are_usage_errors(capsys, params):
+    code, out = run(capsys, "construct", "--kind", "cross", "--params", params)
+    assert code == 2
+    assert out == ""
+
+
+def test_key_error_inside_a_command_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Only reading the input maps KeyError to exit 2; a KeyError from the
+    # computation itself is a bug and must surface as one.
+    import collapsing.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    run(capsys, "construct", "--kind", "cross", "--params", "d=2",
+        "--out", str(tmp_path / "f.json"))
+    monkeypatch.setattr(cli, "check_k_collapsing", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "--family", str(tmp_path / "f.json"), "--k", "2"])

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsing.constructions import fixture_X, fixture_Y, linf_cross
-from collapsing.errors import PreconditionError
+from collapsing.errors import InvariantError, PreconditionError
 from collapsing.family import (
+    ConditionReport,
     ScalarFamily,
     bnb_max_subfamily,
     check_full_collapsing,
@@ -169,6 +170,74 @@ class TestKCollapsing:
         assert report.margin == worst
         assert report.witness == witness
         assert report.holds == (witness is None)
+
+
+class TestExactLp:
+    """Exact lp norms with an integer 1 < p < inf are compared through their
+    exact p-th power sum |c|^p, never through a rounded root."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tiny_excess_is_caught(self, p):
+        # (1/2, 1e-10) + (1/2, 0) = (1, 1e-10) has norm just above 1.
+        family = make_family(lp_space(2, p), [(F(1, 2), F(1, 10**10)), (F(1, 2), 0)])
+        for report in (check_k_collapsing(family, 2), check_full_collapsing(family)):
+            assert not report.holds
+            assert report.witness == (1, 2)
+            assert report.margin == 1 + F(1, 10 ** (10 * p))
+            assert report.to_json()["margin_pow"] == p
+        report = check_strong_balancing(family)
+        assert (report.holds, report.margin, report.margin_pow) == (
+            False, 1 + F(1, 10 ** (10 * p)), p)
+
+    def test_non_integer_p_rejected_in_exact_mode(self):
+        family = make_family(lp_space(2, F(5, 2)), [(1, 0), (0, 1)])
+        for check in (lambda f: check_k_collapsing(f, 1), check_full_collapsing,
+                      check_strong_balancing):
+            with pytest.raises(PreconditionError):
+                check(family)
+
+    def test_other_reports_carry_no_power(self):
+        exact = check_k_collapsing(make_family(lp_space(2, 1), [(1, 0), (0, 1)]), 2)
+        floats = check_k_collapsing(make_family(lp_space(2, 2), [(0.5, 0.0), (0.0, 0.5)]), 2)
+        for report in (exact, floats):
+            assert report.margin_pow is None
+            assert "margin_pow" not in report.to_json()
+        assert isinstance(floats.margin, float)
+
+    def test_exact_report_with_float_margin_is_invariant_breach(self):
+        with pytest.raises(InvariantError):
+            ConditionReport(condition="k-collapsing", holds=True, margin=0.5, k=2)
+        ConditionReport(condition="k-collapsing", holds=True, margin=0.5, k=2, exact=False)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pth_power_brute_force(self, data):
+        p = data.draw(st.sampled_from((2, 3, 4)))
+        d = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, m))
+        coeff = st.fractions(min_value=F(-1), max_value=F(1), max_denominator=4)
+        vectors = [tuple(data.draw(coeff) for _ in range(d)) for _ in range(m)]
+        family = make_family(lp_space(d, p), vectors)
+
+        def power(x):
+            return sum(abs(c) ** p for c in x)
+
+        report = check_k_collapsing(family, k, threads=data.draw(st.sampled_from((1, 2))))
+        worst, witness = brute_force(vectors, power, itertools.combinations(range(m), k))
+        assert (report.margin, report.witness, report.holds) == (worst, witness, witness is None)
+        full = check_full_collapsing(family)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(m), size) for size in range(1, m + 1)
+        )
+        worst, witness = brute_force(vectors, power, subsets)
+        assert (full.margin, full.witness, full.holds) == (worst, witness, witness is None)
+        strong = check_strong_balancing(family)
+        total = brute_force(vectors, power, [tuple(range(m))])[0]
+        assert (strong.margin, strong.holds) == (total, total == 0)
+        for rep in (report, full, strong):
+            assert rep.exact and rep.margin_pow == p
+            assert not isinstance(rep.margin, float)
 
 
 class TestFullCollapsing:

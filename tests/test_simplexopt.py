@@ -1,4 +1,7 @@
 from fractions import Fraction as F
+from itertools import combinations
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,12 @@ from hypothesis import strategies as st
 
 from collapsing.errors import PreconditionError
 from collapsing.family import scalar_k_collapsing
+from collapsing.linalg import solve_square
 from collapsing.simplexopt import (
     EXACT,
     UPPER_BOUND_ONLY,
     _constraints,
+    _vertices,
     max_pow_general,
     max_sq_balanced,
     vertex_oracle,
@@ -166,3 +171,47 @@ class TestClosedFormVertices:
             assert sum(x * x for x in v) == res.value == 1
             assert scalar_k_collapsing(v + (F(1),), k)[0]
             assert sum(v) + 1 == 0
+
+
+def reference_vertices(m: int, k: int, balanced: bool) -> set:
+    """The n x n active-set loop: every choice of n - #eq inequalities of
+    ``_constraints``, with the equalities, solved as one n x n system."""
+    ineqs, eqs = _constraints(m, k, balanced)
+    vertices = set()
+    for active in combinations(range(len(ineqs)), m - 1 - len(eqs)):
+        rows = [eq[0] for eq in eqs] + [ineqs[i][0] for i in active]
+        rhs = [eq[1] for eq in eqs] + [ineqs[i][1] for i in active]
+        sol = solve_square(rows, rhs)
+        if sol is not None and all(
+            sum(c * x for c, x in zip(row, sol)) <= b for row, b in ineqs
+        ):
+            vertices.add(tuple(sol))
+    return vertices
+
+
+class TestBlockOracle:
+    """The block-coordinate enumeration against the n x n reference loop."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_active_set_loop(self, data):
+        m = data.draw(st.integers(4, 10))
+        balanced = data.draw(st.booleans())
+        p = data.draw(st.sampled_from([1, 2, 3]))
+        k_max = m - 2 if balanced or p == 1 else (m + 1) // 2
+        k = data.draw(st.integers(2, k_max))
+        reference = reference_vertices(m, k, balanced)
+        assert _vertices(m, k, balanced) == reference
+        # Ties go to the smallest vertex in tuple order.
+        best = max(sorted(reference), key=lambda v: sum(x ** (2 * p) for x in v))
+        res = vertex_oracle(m, k, p, balanced=balanced)
+        assert res.attaining_vertex == best
+        assert res.value == sum(x ** (2 * p) for x in best)
+
+    def test_bases_solved(self):
+        # One solve per basis: C(n+3, n-#eq), as many as the n x n loop.
+        for m, k, balanced, bases in [(12, 5, True, 1001), (16, 6, False, 816)]:
+            with patch("collapsing.simplexopt.solve_square", wraps=solve_square) as spy:
+                vertex_oracle(m, k, 1, balanced=balanced)
+            assert spy.call_count == bases
+            assert all(len(call.args[0]) <= 5 for call in spy.call_args_list)

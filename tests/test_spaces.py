@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsing.errors import DimensionMismatchError, PreconditionError
-from collapsing.linalg import dot
+from collapsing.linalg import dot, nullspace
+from collapsing.lp import OPTIMAL, linprog_exact
 from collapsing.spaces import (
-    dual_norm_eval,
+    _slab_rows,
     dual_unit_vector,
     l1_subspace,
     linf_space,
@@ -20,6 +21,36 @@ from collapsing.spaces import (
 )
 
 rational = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5)
+
+
+def dual_norm_eval(space, f):
+    """Norm of the functional ``f`` under the standard pairing: the reference
+    for ``dual_unit_vector``'s ||f||* = 1.  Slab and l1-subspace duals are
+    exact LPs and take rational data only."""
+    if space.kind == "lp":
+        p = space.p
+        q = 1 if p == math.inf else math.inf if p == 1 else 2 if p == 2 else p / (p - 1)
+        return norm_eval(lp_space(space.dim, q), f)
+    f = [F(c) for c in f]
+    if space.kind == "slab":
+        # The dual ball is the hull of the +-rows: minimise the total
+        # |coefficient| of a decomposition f = sum (c+_j - c-_j) row_j.
+        rows = [[F(c) for c in row] for row in _slab_rows(space)]
+        a_eq = [[row[i] for row in rows] + [-row[i] for row in rows] for i in range(space.dim)]
+        res = linprog_exact([F(1)] * (2 * len(rows)), a_eq=a_eq, b_eq=f)
+    else:
+        # ||f restricted to X||* = min over w in the annihilator of X of ||f + w||_inf;
+        # variables: w's coefficients (free) and t >= 0, minimise t.
+        ann = nullspace([[F(c) for c in b] for b in space.basis])
+        a_ub, b_ub = [], []
+        for i in range(space.ambient):
+            row_w = [a[i] for a in ann]
+            a_ub += [row_w + [F(-1)], [-c for c in row_w] + [F(-1)]]
+            b_ub += [-f[i], f[i]]
+        res = linprog_exact([F(0)] * len(ann) + [F(1)], a_ub=a_ub, b_ub=b_ub,
+                            nonneg=[False] * len(ann) + [True])
+    assert res.status == OPTIMAL
+    return res.objective
 
 
 class TestNormEval:
