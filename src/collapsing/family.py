@@ -15,10 +15,19 @@ where the difference is one swap (one addition and one subtraction); with
 scanned in-process and the rest in a process pool, and the parts are
 merged by max margin and min witness.  The full scan streams the
 revolving-door order size by size, and the sampled mode streams seeded
-random k-subsets.  Exact-mode comparisons are exact; float mode accepts
-``1 + TOLERANCE``.  In exact mode an lp norm with an integer 1 < p < inf is
-irrational in general, so the scans compare the exact p-th power
-sum |c|^p with 1 instead, and report it as the margin with ``margin_pow``.
+random k-subsets.
+
+Every norm verdict (the scans, strong balancing, the far-partner and
+diameter/centroid checks, the branch and bound, and the proximity graph and
+norm stage of ``graphtools``) compares one gauge, ``_gauge``, with a
+threshold.  The gauge is built once per check from ``spaces.norm_function``;
+it takes sums and differences of members only, and ``VectorFamily`` checks
+l1-subspace membership once per member, so no gauge call solves for it.
+Exact-mode comparisons are exact; float mode accepts ``1 + TOLERANCE``.  In
+exact mode an lp norm with an integer 1 < p < inf is irrational in general,
+so the gauge is the exact p-th power sum |c|^p, compared with the p-th power
+of the threshold and reported with ``margin_pow``.  The branch and bound is
+one depth-first loop that keeps the (k-1)-subset sums of its chosen prefix.
 """
 
 from __future__ import annotations
@@ -31,10 +40,10 @@ from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError
 from .lp import OPTIMAL, linprog_exact
 from .scalars import TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, vectors_exact
-from .spaces import NormSpace, norm_eval, space_from_json, space_to_json
+from .spaces import NormSpace, check_vector, norm_function, space_from_json, space_to_json
 from .subsets import revolving_door, sample_subsets
 
 FULL_COLLAPSE_MAX_M = 24  # 2^m enumeration guard
@@ -46,12 +55,10 @@ class VectorFamily:
     vectors: tuple
 
     def __post_init__(self):
-        amb = self.space.ambient_dim
+        # Sums and differences of members stay in an l1 subspace, so no
+        # gauge needs to check membership again.
         for v in self.vectors:
-            if len(v) != amb:
-                raise DimensionMismatchError(
-                    f"vector length {len(v)} != ambient dimension {amb}"
-                )
+            check_vector(self.space, v)
         if not self.vectors:
             raise PreconditionError("a family needs at least one vector")
 
@@ -61,9 +68,6 @@ class VectorFamily:
 
     def is_exact(self) -> bool:
         return vectors_exact(self.vectors) and self.space.is_exact()
-
-    def norms(self) -> list:
-        return [norm_eval(self.space, v) for v in self.vectors]
 
 
 def make_family(space: NormSpace, vectors: Iterable[Sequence[Scalar]]) -> VectorFamily:
@@ -113,7 +117,22 @@ def _vec_sub(a: list, b: Sequence[Scalar]) -> None:
 
 
 def _limit(exact: bool):
+    """The largest gauge that counts as norm <= 1."""
     return 1 if exact else 1.0 + TOLERANCE
+
+
+def _floor(exact: bool):
+    """The smallest gauge that counts as norm >= 1."""
+    return 1 if exact else 1.0 - TOLERANCE
+
+
+def _on_scale(threshold, p: int | None):
+    """A norm threshold on the gauge's scale: itself, or its p-th power.
+
+    A threshold <= 0 stays as it is; no gauge is negative, so the
+    comparison comes out the same.
+    """
+    return threshold ** p if p is not None and threshold > 0 else threshold
 
 
 def _norm_power(space: NormSpace, exact: bool) -> int | None:
@@ -132,10 +151,11 @@ def _norm_power(space: NormSpace, exact: bool) -> int | None:
 
 
 def _gauge(space: NormSpace, exact: bool):
-    """The function of a sum that the checks compare with 1: the norm, or its power."""
+    """The function of a sum that every norm verdict compares with a
+    threshold: ``spaces.norm_function``, or the exact p-th power."""
     p = _norm_power(space, exact)
     if p is None:
-        return lambda x: norm_eval(space, x)
+        return norm_function(space)
     return lambda x: sum(abs(c) ** p for c in x)
 
 
@@ -167,7 +187,7 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
         for i in removed:
             _vec_sub(running, vectors[i])
         current = new
-        nrm = gauge(tuple(running))
+        nrm = gauge(running)
         if worst is None or nrm > worst:
             worst = nrm
         if nrm > limit:
@@ -376,29 +396,21 @@ def far_partner_check(family: VectorFamily, indices: Sequence[int]) -> bool:
     idx = [i - 1 for i in indices]
     if len(idx) < 2:
         raise PreconditionError("need at least two indices")
-    space, vectors = family.space, family.vectors
+    vectors = family.vectors
     exact = family.is_exact()
-    lo = 1 if exact else 1.0 - TOLERANCE
+    gauge, lo = _gauge(family.space, exact), _floor(exact)
     for i in idx:
-        if norm_eval(space, vectors[i]) < lo:
+        if gauge(vectors[i]) < lo:
             raise PreconditionError(f"vector {i + 1} has norm below 1")
     total = [0] * len(vectors[0])
     for i in idx:
         _vec_add(total, vectors[i])
-    if norm_eval(space, tuple(total)) > _limit(exact):
+    if gauge(total) > _limit(exact):
         raise PreconditionError("subset sum has norm above 1")
-    for i in idx:
-        ok = False
-        for j in idx:
-            if j == i:
-                continue
-            diff = tuple(a - b for a, b in zip(vectors[i], vectors[j]))
-            if norm_eval(space, diff) >= lo:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return all(
+        any(gauge([a - b for a, b in zip(vectors[i], vectors[j])]) >= lo for j in idx if j != i)
+        for i in idx
+    )
 
 
 @dataclass(frozen=True)
@@ -408,39 +420,38 @@ class DiameterCentroidReport:
     hypothesis_holds: bool
     conclusion_holds: bool
     dim: int
+    power: int | None = None  # both norms are raised to this power
 
 
 def diameter_centroid_check(family: VectorFamily) -> DiameterCentroidReport:
-    """Diameter below 1 + 1/d must push the centroid norm above 1/d^2."""
+    """Diameter below 1 + 1/d must push the centroid norm above 1/d^2.
+
+    Like the condition reports, an exact lp space with 1 < p < inf reports
+    the p-th powers of both norms, with ``power`` set to p.
+    """
     space, vectors = family.space, family.vectors
     d = space.dim
     exact = family.is_exact()
-    lo = 1 if exact else 1.0 - TOLERANCE
+    gauge, p = _gauge(space, exact), _norm_power(space, exact)
     for i, v in enumerate(vectors):
-        if norm_eval(space, v) < lo:
+        if gauge(v) < _floor(exact):
             raise PreconditionError(f"vector {i + 1} has norm below 1")
-    diam = 0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            diff = tuple(a - b for a, b in zip(vectors[i], vectors[j]))
-            nrm = norm_eval(space, diff)
-            if nrm > diam:
-                diam = nrm
+    diam = max(
+        (gauge([a - b for a, b in zip(u, v)]) for u, v in combinations(vectors, 2)), default=0
+    )
     total = [0] * len(vectors[0])
     for v in vectors:
         _vec_add(total, v)
     n = len(vectors)
-    centroid = tuple(Fraction(c, n) if exact else c / n for c in total)
-    cnorm = norm_eval(space, centroid)
-    threshold = Fraction(1, d) if exact else 1.0 / d
-    hypothesis = diam < 1 + threshold
-    conclusion = cnorm > (Fraction(1, d * d) if exact else 1.0 / (d * d))
+    cnorm = gauge([Fraction(c, n) if exact else c / n for c in total])
+    inv_d = Fraction(1, d) if exact else 1.0 / d
     return DiameterCentroidReport(
         diameter=diam,
         centroid_norm=cnorm,
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
+        hypothesis_holds=diam < _on_scale(1 + inv_d, p),
+        conclusion_holds=cnorm > _on_scale(inv_d * inv_d, p),
         dim=d,
+        power=p,
     )
 
 
@@ -459,74 +470,17 @@ def bnb_max_subfamily(candidates: VectorFamily, k: int):
     """
     if not candidates.is_exact():
         raise PreconditionError("branch and bound requires exact arithmetic")
-    space = candidates.space
+    gauge = _gauge(candidates.space, True)
     order = sorted(
         range(candidates.m),
-        key=lambda i: (norm_eval(space, candidates.vectors[i]) * -1, candidates.vectors[i]),
+        key=lambda i: (-gauge(candidates.vectors[i]), candidates.vectors[i]),
     )
     vectors = [candidates.vectors[i] for i in order]
     n = len(vectors)
-    use_numpy = space.kind == "lp" and space.p == math.inf and all(
-        isinstance(c, int) for v in vectors for c in v
-    )
-    if use_numpy:
-        chosen = _bnb_linf_int(vectors, k)
-    else:
-        chosen = _bnb_generic(space, vectors, k)
-    return tuple(sorted(order[i] + 1 for i in chosen))
-
-
-def _bnb_linf_int(vectors, k: int):
-    import numpy as np
-
-    n = len(vectors)
-    d = len(vectors[0])
-    arr = np.array(vectors, dtype=np.int64)
-    # sums[j] holds all j-subset sums of the current prefix set, j < k
-    sums = [np.zeros((1, d), dtype=np.int64)] + [
-        np.zeros((0, d), dtype=np.int64) for _ in range(k - 1)
-    ]
+    # sums[j] holds the j-subset sums of the chosen prefix, j < k
+    sums: list[list[tuple]] = [[(0,) * len(vectors[0])]] + [[] for _ in range(k - 1)]
     best: list[int] = []
     stack: list[int] = []
-
-    def extend(start: int) -> None:
-        nonlocal best
-        if len(stack) > len(best):
-            best = stack.copy()
-        for c in range(start, n):
-            if len(stack) + (n - c) <= len(best):
-                break
-            v = arr[c]
-            if sums[k - 1].shape[0] and not (np.abs(sums[k - 1] + v).max(axis=1) <= 1).all():
-                continue
-            saved = [s.shape[0] for s in sums]
-            for j in range(k - 1, 0, -1):
-                sums[j] = np.concatenate([sums[j], sums[j - 1] + v])
-            stack.append(c)
-            extend(c + 1)
-            stack.pop()
-            for j in range(1, k):
-                sums[j] = sums[j][: saved[j]]
-
-    extend(0)
-    return best
-
-
-def _bnb_generic(space, vectors, k: int):
-    n = len(vectors)
-    d = len(vectors[0])
-    zero = tuple(0 for _ in range(d))
-    sums: list[list[tuple]] = [[zero]] + [[] for _ in range(k - 1)]
-    best: list[int] = []
-    stack: list[int] = []
-    limit = 1  # exact mode enforced by the caller
-
-    def feasible(v) -> bool:
-        for s in sums[k - 1]:
-            total = tuple(a + b for a, b in zip(s, v))
-            if norm_eval(space, total) > limit:
-                return False
-        return True
 
     def extend(start: int) -> None:
         nonlocal best
@@ -536,11 +490,11 @@ def _bnb_generic(space, vectors, k: int):
             if len(stack) + (n - c) <= len(best):
                 break
             v = vectors[c]
-            if not feasible(v):
+            if any(gauge([a + b for a, b in zip(s, v)]) > 1 for s in sums[k - 1]):
                 continue
             saved = [len(s) for s in sums]
             for j in range(k - 1, 0, -1):
-                sums[j] = sums[j] + [tuple(a + b for a, b in zip(s, v)) for s in sums[j - 1]]
+                sums[j] += [tuple(a + b for a, b in zip(s, v)) for s in sums[j - 1]]
             stack.append(c)
             extend(c + 1)
             stack.pop()
@@ -548,7 +502,7 @@ def _bnb_generic(space, vectors, k: int):
                 del sums[j][saved[j]:]
 
     extend(0)
-    return best
+    return tuple(sorted(order[i] + 1 for i in best))
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,13 @@ so it terminates.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import InvariantError, PreconditionError
-from .family import VectorFamily
-from .scalars import TOLERANCE
-from .spaces import norm_eval
+from .family import VectorFamily, _floor, _gauge, _norm_power, _on_scale
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,14 @@ def make_graph(n: int, edges) -> SimpleGraph:
 def proximity_graph(family: VectorFamily, threshold=1) -> SimpleGraph:
     """Edge whenever the distance is strictly below the threshold."""
     vectors = family.vectors
-    space = family.space
-    edges = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            diff = tuple(a - b for a, b in zip(vectors[i], vectors[j]))
-            if norm_eval(space, diff) < threshold:
-                edges.append((i, j))
+    exact = family.is_exact()
+    gauge = _gauge(family.space, exact)
+    bound = _on_scale(threshold, _norm_power(family.space, exact))
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(vectors)), 2)
+        if gauge([a - b for a, b in zip(vectors[i], vectors[j])]) < bound
+    ]
     return make_graph(len(vectors), edges)
 
 
@@ -264,8 +262,8 @@ def bm_pipeline_check(family: VectorFamily, k: int) -> PipelineReport:
     from .family import check_k_collapsing
 
     exact = family.is_exact()
-    lo = 1 if exact else 1.0 - TOLERANCE
-    norms_ok = all(norm_eval(family.space, v) >= lo for v in family.vectors)
+    gauge = _gauge(family.space, exact)
+    norms_ok = all(gauge(v) >= _floor(exact) for v in family.vectors)
     collapsing_ok = check_k_collapsing(family, k).holds
     g = proximity_graph(family, 1)
     delta = max_degree(g)

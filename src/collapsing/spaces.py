@@ -9,7 +9,10 @@ Three space kinds are supported:
 * ``l1sub`` -- a subspace of an ambient l1 space, vectors given in ambient
   coordinates.
 
-A vector is a plain tuple of scalars of length ``ambient_dim``.  Dual unit
+A vector is a plain tuple of scalars of length ``ambient_dim``.
+``norm_function`` reads the space kind once and returns the norm as a
+function; ``norm_eval`` checks its argument (``check_vector``: the length
+and, in an l1 subspace, membership) and then applies it.  Dual unit
 vectors on non-smooth norms use lowest-index tie-breaking so that all
 certificates are deterministic; every downstream matrix bound is valid for
 any choice of dual unit vector, so the tie-break is a convention, not a
@@ -112,13 +115,6 @@ def l1_subspace(ambient: int, basis: Sequence[Sequence[Scalar]]) -> NormSpace:
     return NormSpace(dim=len(bas), kind="l1sub", ambient=ambient, basis=bas)
 
 
-def _check_vec(space: NormSpace, x: Sequence[Scalar]) -> None:
-    if len(x) != space.ambient_dim:
-        raise DimensionMismatchError(
-            f"vector length {len(x)} != ambient dimension {space.ambient_dim}"
-        )
-
-
 def _slab_rows(space: NormSpace):
     """Functionals normalised so the ball is {x : |<f,x>| <= 1} for each f."""
     rows = list(space.functionals)
@@ -129,7 +125,16 @@ def _slab_rows(space: NormSpace):
     return rows
 
 
-def _l1sub_membership(space: NormSpace, x: Sequence[Scalar]) -> None:
+def check_vector(space: NormSpace, x: Sequence[Scalar]) -> None:
+    """Raise unless ``x`` is a vector of ``space``: of ambient length and,
+    in an l1 subspace, inside the subspace (an exact solve, or a float
+    least-squares residual within ``TOLERANCE``)."""
+    if len(x) != space.ambient_dim:
+        raise DimensionMismatchError(
+            f"vector length {len(x)} != ambient dimension {space.ambient_dim}"
+        )
+    if space.kind != "l1sub":
+        return
     cols = transpose(space.basis)
     if is_exact(x) and space.is_exact():
         if solve_consistent(cols, list(x)) is None:
@@ -144,28 +149,47 @@ def _l1sub_membership(space: NormSpace, x: Sequence[Scalar]) -> None:
             raise PreconditionError("vector lies outside the l1 subspace (float tolerance)")
 
 
-def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:
-    """Evaluate the norm of ``x``; exact when the data is rational."""
-    _check_vec(space, x)
-    if space.kind == "lp":
-        p = space.p
-        if p == math.inf:
-            return max((abs(c) for c in x), default=0)
-        if p == 1:
-            return sum(abs(c) for c in x)
-        if p == 2:
-            sq = sum(c * c for c in x)
-            if is_exact(x):
-                root = sqrt_exact(Fraction(sq))
-                return root if root is not None else math.sqrt(sq)
-            return math.sqrt(sq)
-        return sum(abs(c) ** p for c in x) ** (1 / p)
+def _l2(x: Sequence[Scalar]) -> Scalar:
+    sq = sum(c * c for c in x)
+    if is_exact(x):
+        root = sqrt_exact(Fraction(sq))
+        if root is not None:
+            return root
+    return math.sqrt(sq)
+
+
+def norm_function(space: NormSpace):
+    """The norm of ``space`` as a function of an ambient vector.
+
+    ``space.kind`` is read here, once, and the slab rows (cap included) are
+    built once.  The function checks nothing about its argument: callers
+    that take outside vectors go through ``norm_eval``.  An exact l2 norm is
+    exact when it is rational and a float root otherwise.
+    """
     if space.kind == "slab":
-        return max(abs(dot(f, x)) for f in _slab_rows(space))
-    if space.kind == "l1sub":
-        _l1sub_membership(space, x)
-        return sum(abs(c) for c in x)
-    raise ValueError(f"unknown space kind {space.kind}")
+        rows = _slab_rows(space)
+        return lambda x: max(abs(dot(f, x)) for f in rows)
+    if space.kind == "l1sub" or space.p == 1:
+        return lambda x: sum(abs(c) for c in x)
+    if space.kind != "lp":
+        raise ValueError(f"unknown space kind {space.kind}")
+    p = space.p
+    if p == math.inf:
+        return lambda x: max((abs(c) for c in x), default=0)
+    if p == 2:
+        return _l2
+    return lambda x: sum(abs(c) ** p for c in x) ** (1 / p)
+
+
+def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:
+    """The norm of ``x`` after ``check_vector``; exact when the data is rational.
+
+    Each call checks its argument, and in an l1 subspace that is a solve:
+    code that evaluates many sums of checked vectors builds
+    ``norm_function`` once instead.
+    """
+    check_vector(space, x)
+    return norm_function(space)(x)
 
 
 def dual_unit_vector(space: NormSpace, x: Sequence[Scalar]) -> Vec:
@@ -173,7 +197,6 @@ def dual_unit_vector(space: NormSpace, x: Sequence[Scalar]) -> Vec:
 
     Non-smooth norms break ties at the lowest attaining index.
     """
-    _check_vec(space, x)
     nrm = norm_eval(space, x)
     if nrm == 0:
         raise PreconditionError("the zero vector has no dual unit vector")

@@ -176,6 +176,20 @@ def test_vpoly_space_kind_is_usage_error(tmp_path, capsys):
     assert "unknown space kind" in captured.err
 
 
+@pytest.mark.parametrize("condition", [["--k", "1"], ["--condition", "strong"],
+                                       ["--condition", "weak"]])
+def test_l1_subspace_outsider_is_usage_error(tmp_path, capsys, condition):
+    # (1, 1, 0) lies outside the span of (1, -1, 0); the family is rejected
+    # when it is read, whatever the condition.
+    family = {"space": {"dim": 1, "kind": "l1sub", "ambient": 3, "basis": [[1, -1, 0]]},
+              "vectors": [[1, -1, 0], [1, 1, 0]]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(family))
+    code, out = run(capsys, "verify", "--family", str(path), *condition)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_exact_lp_tiny_excess_fails(tmp_path, capsys, p):
     # (1/2, 1e-10) + (1/2, 0) has lp norm just above 1; a rounded root reads 1.

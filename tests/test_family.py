@@ -386,6 +386,17 @@ class TestFarPartner:
 
 
 class TestDiameterCentroid:
+    def test_exact_l2_reports_powers(self):
+        # An exact l2 diameter or centroid norm is irrational in general.
+        family = make_family(lp_space(2, 2), [(1, 0), (F(3, 5), F(4, 5))])
+        report = diameter_centroid_check(family)
+        assert report.power == 2
+        # the norms themselves are sqrt(4/5), below 1 + 1/2 and above 1/4
+        assert (report.diameter, report.centroid_norm) == (F(4, 5), F(4, 5))
+        assert not any(isinstance(v, float) for v in (report.diameter, report.centroid_norm))
+        assert report.hypothesis_holds and report.conclusion_holds
+
+
     def test_fixture_X_exact_values(self):
         report = diameter_centroid_check(fixture_X(4, F(1, 100)))
         assert report.diameter == 1 + F(1, 4) - F(1, 100)
@@ -415,15 +426,52 @@ class TestBranchAndBound:
         family = make_family(linf_space(1), [(1,), (1,), (1,)])
         assert len(bnb_max_subfamily(family, 2)) == 1
 
-    def test_generic_path_matches_numpy_path(self):
-        vectors = sign_vectors(2)
-        fast = bnb_max_subfamily(make_family(linf_space(2), vectors), 2)
-        slow = bnb_max_subfamily(
-            make_family(lp_space(2, 1), [(F(c, 1) for c in v) for v in vectors]), 4
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_exact_lp_tiny_excess_keeps_one_vector(self, p):
+        # (1/2, 1e-10) + (1/2, 0) has lp norm just above 1; a rounded root reads 1.
+        family = make_family(lp_space(2, p), [(F(1, 2), F(1, 10**10)), (F(1, 2), 0)])
+        assert len(bnb_max_subfamily(family, 2)) == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        """The size of the largest k-collapsing sub-multiset over all index
+        subsets, with each norm as a plain formula (an lp norm compared
+        through its exact p-th power)."""
+        kind = data.draw(st.sampled_from(("linf", "slab", "l1", "lp2", "lp3")))
+        m = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, m))
+        if kind == "linf":
+            d = data.draw(st.integers(1, 3))
+            coeff = st.integers(-1, 1)
+            space, norm = linf_space(d), lambda x: max(abs(c) for c in x)
+        else:
+            d = 2
+            coeff = st.integers(-2, 2).map(lambda c: F(c, 2))
+            if kind == "slab":
+                space = slab_space([(1, 0), (1, 1)], cap=((1, -1), 2))
+                norm = lambda x: max(abs(x[0]), abs(x[0] + x[1]), abs(x[0] - x[1]) / 2)  # noqa: E731
+            elif kind == "l1":
+                space, norm = lp_space(d, 1), lambda x: sum(abs(c) for c in x)
+            else:
+                p = int(kind[2:])
+                space, norm = lp_space(d, p), lambda x: sum(abs(c) ** p for c in x)
+        vectors = [tuple(data.draw(coeff) for _ in range(d)) for _ in range(m)]
+
+        def collapsing(idx):
+            return all(
+                norm([sum(vectors[i][c] for i in sub) for c in range(d)]) <= 1
+                for sub in itertools.combinations(idx, k)
+            )
+
+        chosen = bnb_max_subfamily(make_family(space, vectors), k)
+        largest = max(
+            size
+            for size in range(m + 1)
+            if any(collapsing(idx) for idx in itertools.combinations(range(m), size))
         )
-        assert len(fast) == 4
-        # l1 cross polytope: the same four vectors are 4-collapsing
-        assert len(slow) == 4
+        assert len(chosen) == largest
+        assert collapsing([i - 1 for i in chosen])
 
     def test_float_rejected(self):
         family = make_family(linf_space(2), [(1.0, 0.0)])
@@ -451,6 +499,13 @@ class TestComplementMonotonicity:
             assert check_strong_balancing(family).holds
             assert check_k_collapsing(family, k).holds
             assert check_k_collapsing(family, m - k).holds
+
+
+def test_l1_subspace_outsider_rejected_when_the_family_is_built():
+    space = l1_subspace(3, [(1, -1, 0)])
+    make_family(space, [(1, -1, 0), (-2, 2, 0)])
+    with pytest.raises(PreconditionError):
+        make_family(space, [(1, -1, 0), (1, 1, 0)])
 
 
 def test_family_json_roundtrip():

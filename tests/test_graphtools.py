@@ -19,7 +19,7 @@ from collapsing.graphtools import (
     proximity_graph,
     random_bounded_degree_graph,
 )
-from collapsing.spaces import linf_space
+from collapsing.spaces import linf_space, lp_space
 
 
 class TestProximity:
@@ -36,6 +36,11 @@ class TestProximity:
         fam = make_family(linf_space(2), [(1, 0), (F(3, 2), 0), (3, 0)])
         g = proximity_graph(fam, F(3, 4))
         assert g.edges == frozenset({(0, 1)})
+
+    def test_exact_l2_distance_just_below_threshold(self):
+        # |(3/5, 4/5 - 1e-20)|^2 = 1 - 1.6e-20 + 1e-40; a rounded root reads 1.
+        fam = make_family(lp_space(2, 2), [(F(3, 5), F(4, 5) - F(1, 10**20)), (0, 0)])
+        assert proximity_graph(fam, 1).edges == frozenset({(0, 1)})
 
     def test_collapsing_family_degree_bound(self):
         # k-collapsing with norms >= 1 forces max degree <= k-2
