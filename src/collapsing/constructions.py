@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 from .errors import PreconditionError
 from .family import ScalarFamily, VectorFamily, make_family
 from .gf import PrimePowerField
@@ -121,6 +119,8 @@ def greedy_unit_vectors(
     it is; no cardinality guarantee is asserted at small d."""
     if not 0 < delta <= 1:
         raise PreconditionError("need 0 < delta <= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     accepted = np.zeros((0, d))
     for _ in range(max_trials):
@@ -282,6 +282,8 @@ def lift_almost_orthogonal(aos: AlmostOrthogonalSet, k: int):
 
 
 def _float_nullspace(rows):
+    import numpy as np
+
     a = np.asarray(rows, dtype=float)
     _, s, vt = np.linalg.svd(a)
     tol = 1e-9 * (s[0] if s.size else 1.0)

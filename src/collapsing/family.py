@@ -47,6 +47,7 @@ from .spaces import NormSpace, check_vector, norm_function, space_from_json, spa
 from .subsets import revolving_door, sample_subsets
 
 FULL_COLLAPSE_MAX_M = 24  # 2^m enumeration guard
+BNB_MAX_WORK = 3_000_000  # branch-and-bound guard: candidates tried + subset sums tested or kept
 
 
 @dataclass(frozen=True)
@@ -466,8 +467,12 @@ def bnb_max_subfamily(candidates: VectorFamily, k: int):
     pruning combines the remaining-count bound with incremental k-subset
     feasibility (only subsets containing the newly added vector need
     checking).  Returns (indices into the candidate family, 1-based,
-    in scan order of the optimum).
+    in scan order of the optimum).  Raises ``PreconditionError`` for
+    k < 1, and once the candidates tried plus the subset sums tested or
+    kept exceed ``BNB_MAX_WORK`` (a few seconds of work).
     """
+    if k < 1:
+        raise PreconditionError("k must be at least 1")
     if not candidates.is_exact():
         raise PreconditionError("branch and bound requires exact arithmetic")
     gauge = _gauge(candidates.space, True)
@@ -481,18 +486,27 @@ def bnb_max_subfamily(candidates: VectorFamily, k: int):
     sums: list[list[tuple]] = [[(0,) * len(vectors[0])]] + [[] for _ in range(k - 1)]
     best: list[int] = []
     stack: list[int] = []
+    work = 0
 
     def extend(start: int) -> None:
-        nonlocal best
+        nonlocal best, work
         if len(stack) > len(best):
             best = stack.copy()
         for c in range(start, n):
             if len(stack) + (n - c) <= len(best):
                 break
+            work += 1 + len(sums[k - 1])
+            if work > BNB_MAX_WORK:
+                raise PreconditionError(
+                    f"branch and bound capped at {BNB_MAX_WORK} steps (candidates tried, "
+                    "subset sums tested or kept); "
+                    f"{n} candidates are too many for k = {k}"
+                )
             v = vectors[c]
             if any(gauge([a + b for a, b in zip(s, v)]) > 1 for s in sums[k - 1]):
                 continue
             saved = [len(s) for s in sums]
+            work += sum(saved[:-1])
             for j in range(k - 1, 0, -1):
                 sums[j] += [tuple(a + b for a, b in zip(s, v)) for s in sums[j - 1]]
             stack.append(c)

@@ -9,8 +9,9 @@ previous_pivot``; by Sylvester's determinant identity every entry is then an
 integer minor of the scaled matrix, so the division is exact and the
 entries grow only as fast as those minors (Bareiss 1968).  One division by
 the last pivot at the end gives the reduced row echelon form over the
-rationals.  Float matrices are handled by numpy with a relative singular
-value cutoff.
+rationals.  ``rank_float`` reads the rank of a float matrix off numpy's
+singular values with a relative cutoff; it imports numpy when called, so
+exact callers never load it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-import numpy as np
 
 from .scalars import TOLERANCE, Scalar
 
@@ -63,6 +62,8 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
 
 
 def rank_float(rows: Sequence[Sequence[float]], tol: float = TOLERANCE) -> int:
+    import numpy as np
+
     a = np.asarray(rows, dtype=float)
     if a.size == 0:
         return 0

@@ -12,6 +12,10 @@ what ``family_from_matrix`` returns.
 detector: for a real matrix, equality holds iff it is symmetric with all
 nonzero eigenvalues equal, which for rational input reduces to the exact
 pattern test ``A @ A == (trace/rank) * A``.
+
+Exact matrices stay in Python rationals.  Only the float paths
+(``rank_float`` and the float equality test) use numpy, and they import it
+when called, so an exact computation never loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
-
-import numpy as np
 
 from .errors import PreconditionError
 from .family import VectorFamily, make_family, scalar_k_collapsing
@@ -168,6 +170,8 @@ def _equality_case(matrix: CollapseMatrix, trace, r: int, exact: bool) -> bool:
         return all(
             sq[i][j] == c * matrix.entries[i][j] for i in range(m) for j in range(m)
         )
+    import numpy as np
+
     a = np.asarray(matrix.entries, dtype=float)
     scale = max(1.0, float(np.abs(a).max()))
     if not np.allclose(a, a.T, atol=TOLERANCE * scale):

@@ -10,7 +10,7 @@ regime it is in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import isfinite
 from typing import Iterable, Union
 
 from .errors import BackendMixError, PreconditionError
@@ -54,13 +54,26 @@ def snap_rational(x: Scalar) -> Fraction:
     return Fraction(x).limit_denominator(SNAP_DENOMINATOR)
 
 
-def sqrt_exact(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
+def _iroot(a: int, n: int) -> int:
+    """floor(a ** (1/n)) for an integer a >= 0, by Newton's method from above."""
+    if a < 2:
+        return a
+    x = 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
+def root_exact(x: Fraction, n: int) -> Fraction | None:
+    """Exact n-th root (integer n >= 1) of a nonnegative rational, or None
+    if it is irrational."""
     if x < 0:
-        raise ValueError("sqrt of negative rational")
+        raise ValueError("root of a negative rational")
     num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
+    rn, rd = _iroot(num, n), _iroot(den, n)
+    if rn**n == num and rd**n == den:
         return Fraction(rn, rd)
     return None
 

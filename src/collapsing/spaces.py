@@ -34,7 +34,7 @@ from .scalars import (
     format_scalar,
     is_exact,
     parse_scalar,
-    sqrt_exact,
+    root_exact,
 )
 
 Vec = tuple
@@ -149,13 +149,19 @@ def check_vector(space: NormSpace, x: Sequence[Scalar]) -> None:
             raise PreconditionError("vector lies outside the l1 subspace (float tolerance)")
 
 
-def _l2(x: Sequence[Scalar]) -> Scalar:
-    sq = sum(c * c for c in x)
-    if is_exact(x):
-        root = sqrt_exact(Fraction(sq))
-        if root is not None:
-            return root
-    return math.sqrt(sq)
+def _integer_lp(p: int):
+    """The lp norm for an integer p >= 2: exact when the data and the root
+    are rational, a float root otherwise."""
+
+    def norm(x: Sequence[Scalar]) -> Scalar:
+        power = sum(c * c for c in x) if p == 2 else sum(abs(c) ** p for c in x)
+        if is_exact(x):
+            root = root_exact(Fraction(power), p)
+            if root is not None:
+                return root
+        return math.sqrt(power) if p == 2 else power ** (1 / p)
+
+    return norm
 
 
 def norm_function(space: NormSpace):
@@ -163,8 +169,9 @@ def norm_function(space: NormSpace):
 
     ``space.kind`` is read here, once, and the slab rows (cap included) are
     built once.  The function checks nothing about its argument: callers
-    that take outside vectors go through ``norm_eval``.  An exact l2 norm is
-    exact when it is rational and a float root otherwise.
+    that take outside vectors go through ``norm_eval``.  An exact lp norm
+    with an integer p is exact when it is rational and a float root
+    otherwise.
     """
     if space.kind == "slab":
         rows = _slab_rows(space)
@@ -176,8 +183,8 @@ def norm_function(space: NormSpace):
     p = space.p
     if p == math.inf:
         return lambda x: max((abs(c) for c in x), default=0)
-    if p == 2:
-        return _l2
+    if p == int(p):
+        return _integer_lp(int(p))
     return lambda x: sum(abs(c) ** p for c in x) ** (1 / p)
 
 
@@ -195,7 +202,10 @@ def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:
 def dual_unit_vector(space: NormSpace, x: Sequence[Scalar]) -> Vec:
     """A functional f with ||f||* = 1 and <f, x> = ||x||.
 
-    Non-smooth norms break ties at the lowest attaining index.
+    Non-smooth norms break ties at the lowest attaining index.  For an
+    exact ``x`` in an lp space with 1 < p < inf, f is exact when p is an
+    integer and ||x|| is rational; otherwise f would be a float, so this
+    raises ``PreconditionError``.
     """
     nrm = norm_eval(space, x)
     if nrm == 0:
@@ -208,6 +218,12 @@ def dual_unit_vector(space: NormSpace, x: Sequence[Scalar]) -> Vec:
             return tuple(sign if i == j else 0 for i in range(space.dim))
         if p == 1:
             return tuple((c > 0) - (c < 0) for c in x)
+        if isinstance(nrm, float) and is_exact(x):
+            coords = ", ".join(str(format_scalar(c)) for c in x)
+            raise PreconditionError(
+                f"an exact dual unit vector of ({coords}) in l{format_scalar(p)} needs an "
+                "integer p and a rational norm; float coordinates give a float pairing matrix"
+            )
         if p == 2:
             return tuple(c / nrm for c in x)
         return tuple(

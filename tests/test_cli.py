@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import collapsing.family as family_module
 from collapsing.cli import main
 
 
@@ -249,3 +250,88 @@ def test_key_error_inside_a_command_is_not_a_usage_error(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "check_k_collapsing", broken)
     with pytest.raises(KeyError):
         main(["verify", "--family", str(tmp_path / "f.json"), "--k", "2"])
+
+
+def test_exact_runs_never_load_numpy(tmp_path):
+    # Exact runs stay in Python rationals; only float paths import numpy.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import collapsing
+
+    slab = {"space": {"dim": 2, "kind": "slab", "functionals": [[1, 0], [0, 1], ["1/2", "1/2"]]},
+            "vectors": [[1, 0], [0, -1], ["-1/2", "1/2"]]}
+    float_slab = {"space": {"dim": 2, "kind": "slab", "functionals": [[1.0, 0.0], [0.0, 1.0]]},
+                  "vectors": [[0.5, 0.5], [-0.5, 0.25]]}
+    (tmp_path / "slab.json").write_text(json.dumps(slab))
+    (tmp_path / "float_slab.json").write_text(json.dumps(float_slab))
+    cross, slab, float_slab, lift = (
+        str(tmp_path / f) for f in ("cross.json", "slab.json", "float_slab.json", "lift.json")
+    )
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(collapsing.__file__).parents[1])!r})
+from collapsing.cli import main
+exact = [
+    ["construct", "--kind", "cross", "--params", "d=3", "--out", {cross!r}],
+    ["verify", "--family", {cross!r}, "--k", "2"],
+    ["verify", "--family", {slab!r}, "--k", "2"],
+    ["gram", "--family", {cross!r}],
+    ["oracle", "--m", "8", "--k", "3"],
+    ["bound", "--k", "4", "--d", "4", "--all"],
+    ["search", "--d", "3", "--k", "2"],
+    ["construct", "--kind", "lift", "--params", "q=7,s=1,k=2", "--out", {lift!r}],
+]
+for argv in exact:
+    assert main(argv) in (0, 1), argv
+assert "numpy" not in sys.modules
+assert main(["verify", "--family", {float_slab!r}, "--k", "2"]) == 0
+assert main(["construct", "--kind", "greedy", "--params", "d=3,delta=0.5,seed=1,trials=50"]) == 0
+assert "numpy" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("space, vectors", [
+    ({"dim": 2, "kind": "lp", "p": 2}, [[1, 1], [-1, 0], [0, "-1/2"]]),
+    ({"dim": 2, "kind": "lp", "p": 3}, [[1, 1], [-1, "1/2"]]),
+])
+def test_gram_irrational_exact_lp_norm_is_usage_error(tmp_path, capsys, space, vectors):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"space": space, "vectors": vectors}))
+    code = main(["gram", "--family", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "(1, 1)" in captured.err and "float pairing matrix" in captured.err
+
+
+@pytest.mark.parametrize("space, vectors", [
+    ({"dim": 2, "kind": "lp", "p": 2}, [["3/5", "4/5"], [-1, 0]]),
+    ({"dim": 2, "kind": "lp", "p": 3}, [[1, 0], [0, -1]]),
+])
+def test_gram_rational_exact_lp_norm_stays_exact(tmp_path, capsys, space, vectors):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"space": space, "vectors": vectors}))
+    code, out = run(capsys, "gram", "--family", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    values = [v for row in payload["entries"] for v in row] + list(payload["certificate"].values())
+    assert not any(isinstance(v, float) for v in values)
+    assert [payload["entries"][i][i] for i in range(2)] == [1, 1]
+
+
+@pytest.mark.parametrize("d, k, message", [("2", "0", "k must be at least 1"),
+                                            ("2", "-1", "k must be at least 1"),
+                                            ("2", "2", "capped at 83 steps")])
+def test_search_bad_or_too_large_is_usage_error(monkeypatch, capsys, d, k, message):
+    # k = 0 used to print the k = 1 answer; d = 5 used to run for minutes.
+    # The l_inf^2 sign vectors at k = 2 take 84 steps, so a cap of 83 trips.
+    monkeypatch.setattr(family_module, "BNB_MAX_WORK", 83)
+    code = main(["search", "--d", d, "--k", k])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collapsing.family as family_module
 from collapsing.constructions import fixture_X, fixture_Y, linf_cross
 from collapsing.errors import InvariantError, PreconditionError
 from collapsing.family import (
@@ -476,6 +477,21 @@ class TestBranchAndBound:
     def test_float_rejected(self):
         family = make_family(linf_space(2), [(1.0, 0.0)])
         with pytest.raises(PreconditionError):
+            bnb_max_subfamily(family, 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        family = make_family(linf_space(2), sign_vectors(2))
+        with pytest.raises(PreconditionError, match="k must be at least 1"):
+            bnb_max_subfamily(family, k)
+
+    def test_work_cap(self, monkeypatch):
+        # The sign vectors of l_inf^2 at k = 2 take 84 steps.
+        family = make_family(linf_space(2), sign_vectors(2))
+        monkeypatch.setattr(family_module, "BNB_MAX_WORK", 84)
+        assert len(bnb_max_subfamily(family, 2)) == 4
+        monkeypatch.setattr(family_module, "BNB_MAX_WORK", 83)
+        with pytest.raises(PreconditionError, match="capped at 83 steps"):
             bnb_max_subfamily(family, 2)
 
 

@@ -106,6 +106,21 @@ class TestDualUnitVector:
         with pytest.raises(PreconditionError):
             dual_unit_vector(linf_space(2), (0, 0))
 
+    def test_exact_lp_rational_norm_stays_exact(self):
+        # ||(3, 4, 5)||_3 = 6, since 27 + 64 + 125 = 216.
+        nrm = norm_eval(lp_space(3, 3), (3, 4, 5))
+        assert nrm == 6 and isinstance(nrm, F)
+        f = dual_unit_vector(lp_space(3, 3), (3, 4, 5))
+        assert f == (F(1, 4), F(4, 9), F(25, 36))
+        assert all(isinstance(c, F) for c in f)
+        assert dot(f, (3, 4, 5)) == 6
+        assert dual_unit_vector(lp_space(2, 3), (1, 0)) == (1, 0)
+
+    @pytest.mark.parametrize("p", [2, 3, F(5, 2)])
+    def test_exact_lp_irrational_norm_rejected(self, p):
+        with pytest.raises(PreconditionError, match=r"\(1, 1\)"):
+            dual_unit_vector(lp_space(2, p), (1, 1))
+
     def test_slab_dual_vector(self):
         space = slab_space([(1, 0), (0, 1)])
         f = dual_unit_vector(space, (F(1, 2), -2))
