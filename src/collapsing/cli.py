@@ -73,11 +73,8 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
 
-def _emit(obj, fmt: str = "json") -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        raise PreconditionError(f"unsupported format {fmt!r} for this command")
+def _emit(obj) -> None:
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _emit_csv(header, rows) -> None:
@@ -96,10 +93,6 @@ def _load_json(path: str, build):
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise PreconditionError(f"malformed input {path}: {detail}") from exc
-
-
-def _load_family(path: str):
-    return _load_json(path, family_from_json)
 
 
 def _parse_value(text: str):
@@ -137,7 +130,7 @@ def _param(params: dict, key: str, conv=int, default=None):
 
 
 def cmd_verify(args) -> int:
-    family = _load_family(args.family)
+    family = _load_json(args.family, family_from_json)
     if args.condition == "kcollapsing":
         if args.k is None:
             raise PreconditionError("verify --condition kcollapsing needs --k")
@@ -168,7 +161,7 @@ def cmd_bound(args) -> int:
         ub_rank_sharp(k, d),
         ub_smalldim(k, d),
         ub_volume_coloring(k, d),
-        ub_hadamard(k, d, args.p) if args.p else ub_hadamard_best(k, d),
+        ub_hadamard_best(k, d) if args.p is None else ub_hadamard(k, d, args.p),
         lb_trivial(k, d),
         lb_greedy(k, d),
         lb_polynomial(k, d),
@@ -253,7 +246,7 @@ def cmd_gram(args) -> int:
     if bool(args.family) == bool(args.matrix):
         raise PreconditionError("provide exactly one of --family or --matrix")
     if args.family:
-        matrix = gram_from_family(_load_family(args.family))
+        matrix = gram_from_family(_load_json(args.family, family_from_json))
     else:
         matrix = _load_json(args.matrix, matrix_from_json)
     if args.normalize:
@@ -272,6 +265,8 @@ def cmd_oracle(args) -> int:
             rows,
         )
         return EXIT_OK
+    if args.m is None or args.k is None:
+        raise PreconditionError("oracle needs --m and --k, or --grid")
     closed = (
         max_sq_balanced(args.m, args.k)
         if args.balanced
@@ -294,7 +289,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    family = _load_family(args.family)
+    family = _load_json(args.family, family_from_json)
     report = bm_pipeline_check(family, args.k)
     _emit(report.to_json())
     ok = (
@@ -309,13 +304,14 @@ def cmd_pipeline(args) -> int:
 
 def cmd_search(args) -> int:
     d, k = args.d, args.k
+    space = linf_space(d)  # rejects d < 1 before the candidates are built
     values = (-1, 0, 1)
     candidates = [
         tuple(v)
         for v in itertools.product(values, repeat=d)
         if any(c != 0 for c in v)
     ]
-    family = make_family(linf_space(d), candidates)
+    family = make_family(space, candidates)
     chosen = bnb_max_subfamily(family, k)
     _emit(
         {

@@ -270,12 +270,9 @@ def lift_almost_orthogonal(aos: AlmostOrthogonalSet, k: int):
         for n, scalars in zip(normals, lam_scalars):
             lam = _cap_bound(scalars, k)
             caps.append((tuple(n), lam))
-        if len(caps) == 1:
-            cap = caps[0]
-        else:
-            # fold additional normals in as plain slabs |<n/lam, x>| <= 1
-            extra = [tuple(coord / lam for coord in n) for n, lam in caps[1:]]
-            cap = caps[0]
+        cap = caps[0]
+        # fold additional normals in as plain slabs |<n/lam, x>| <= 1
+        extra = [tuple(coord / lam for coord in n) for n, lam in caps[1:]]
     space = slab_space(list(ys) + extra, cap=cap)
     family = make_family(space, xs)
     return space, family

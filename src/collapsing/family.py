@@ -19,20 +19,20 @@ random k-subsets.
 
 Every norm verdict (the scans, strong balancing, the far-partner and
 diameter/centroid checks, the branch and bound, and the proximity graph and
-norm stage of ``graphtools``) compares one gauge, ``_gauge``, with a
-threshold.  The gauge is built once per check from ``spaces.norm_function``;
-it takes sums and differences of members only, and ``VectorFamily`` checks
+norm stage of ``graphtools``) compares the value of one compiled gauge,
+``spaces.gauge``, with a threshold.  Each check builds the gauge once; it
+takes sums and differences of members only, and ``VectorFamily`` checks
 l1-subspace membership once per member, so no gauge call solves for it.
-Exact-mode comparisons are exact; float mode accepts ``1 + TOLERANCE``.  In
-exact mode an lp norm with an integer 1 < p < inf is irrational in general,
-so the gauge is the exact p-th power sum |c|^p, compared with the p-th power
-of the threshold and reported with ``margin_pow``.  The branch and bound is
-one depth-first loop that keeps the (k-1)-subset sums of its chosen prefix.
+Exact-mode comparisons are exact; float mode accepts ``1 + TOLERANCE``
+(``scalars.unit_limit``).  In exact mode the value of an lp norm with an
+integer 1 < p < inf is the exact p-th power sum |c|^p, compared with the
+p-th power of the threshold (``Gauge.scale``) and reported with
+``margin_pow``.  The branch and bound is one depth-first loop that keeps
+the (k-1)-subset sums of its chosen prefix.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +42,9 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .lp import OPTIMAL, linprog_exact
-from .scalars import TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, vectors_exact
-from .spaces import NormSpace, check_vector, norm_function, space_from_json, space_to_json
+from .scalars import (TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, unit_floor,
+                      unit_limit, vectors_exact)
+from .spaces import Gauge, NormSpace, check_vector, gauge, space_from_json, space_to_json
 from .subsets import revolving_door, sample_subsets
 
 FULL_COLLAPSE_MAX_M = 24  # 2^m enumeration guard
@@ -69,6 +70,10 @@ class VectorFamily:
 
     def is_exact(self) -> bool:
         return vectors_exact(self.vectors) and self.space.is_exact()
+
+    def gauge(self) -> Gauge:
+        """The compiled norm of the space, in exact mode iff the family is exact."""
+        return gauge(self.space, self.is_exact())
 
 
 def make_family(space: NormSpace, vectors: Iterable[Sequence[Scalar]]) -> VectorFamily:
@@ -117,61 +122,18 @@ def _vec_sub(a: list, b: Sequence[Scalar]) -> None:
         a[i] -= x
 
 
-def _limit(exact: bool):
-    """The largest gauge that counts as norm <= 1."""
-    return 1 if exact else 1.0 + TOLERANCE
-
-
-def _floor(exact: bool):
-    """The smallest gauge that counts as norm >= 1."""
-    return 1 if exact else 1.0 - TOLERANCE
-
-
-def _on_scale(threshold, p: int | None):
-    """A norm threshold on the gauge's scale: itself, or its p-th power.
-
-    A threshold <= 0 stays as it is; no gauge is negative, so the
-    comparison comes out the same.
-    """
-    return threshold ** p if p is not None and threshold > 0 else threshold
-
-
-def _norm_power(space: NormSpace, exact: bool) -> int | None:
-    """The power of the norm that the checks compare with 1, or None for the norm.
-
-    In exact mode an lp norm with 1 < p < inf is compared through its p-th
-    power, which is rational; that needs an integer p.
-    """
-    if not exact or space.kind != "lp" or space.p in (1, math.inf):
-        return None
-    if space.p != int(space.p):
-        raise PreconditionError(
-            f"exact mode needs an integer p in an lp space, got p = {format_scalar(space.p)}"
-        )
-    return int(space.p)
-
-
-def _gauge(space: NormSpace, exact: bool):
-    """The function of a sum that every norm verdict compares with a
-    threshold: ``spaces.norm_function``, or the exact p-th power."""
-    p = _norm_power(space, exact)
-    if p is None:
-        return norm_function(space)
-    return lambda x: sum(abs(c) ** p for c in x)
-
-
-def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
-    """The one subset-sum loop: (worst gauge, lex smallest violating subset).
+def _scan(family: VectorFamily, subsets: Iterable[tuple], g: Gauge):
+    """The one subset-sum loop: (worst gauge value, lex smallest violating subset).
 
     The running sum moves from one subset to the next by their symmetric
     difference, or is rebuilt from zero when the difference is larger than
-    the new subset.  The gauge is the norm, or its p-th power (``_gauge``).
+    the new subset.  The value is the norm, or its p-th power (``g.power``).
     The witness is a sorted 1-based tuple; both results are None for an
     empty stream.
     """
-    limit = _limit(exact)
+    limit = unit_limit(g.exact)
     vectors = family.vectors
-    gauge = _gauge(family.space, exact)
+    value = g.value
     dim = len(vectors[0])
     running = [0] * dim
     current: set = set()
@@ -188,7 +150,7 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
         for i in removed:
             _vec_sub(running, vectors[i])
         current = new
-        nrm = gauge(running)
+        nrm = value(running)
         if worst is None or nrm > worst:
             worst = nrm
         if nrm > limit:
@@ -198,9 +160,9 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], exact: bool):
     return worst, witness
 
 
-def _scan_ranks(family: VectorFamily, k: int, start: int, stop: int, exact: bool):
+def _scan_ranks(family: VectorFamily, k: int, start: int, stop: int, g: Gauge):
     """``_scan`` over revolving-door ranks [start, stop); picklable for the pool."""
-    return _scan(family, islice(revolving_door(family.m, k), start, stop), exact)
+    return _scan(family, islice(revolving_door(family.m, k), start, stop), g)
 
 
 def check_k_collapsing(
@@ -225,19 +187,19 @@ def check_k_collapsing(
     if budget is not None and budget < 1:
         raise PreconditionError(f"need budget >= 1, got {budget}")
     total = comb(m, k)
-    exact = family.is_exact()
     sampled = budget is not None and total > budget
+    if sampled and seed is None:
+        raise PreconditionError(
+            f"C({m},{k}) = {total} exceeds the budget {budget}; provide a seed "
+            "to run the sampled mode"
+        )
+    g = family.gauge()
     if sampled:
-        if seed is None:
-            raise PreconditionError(
-                f"C({m},{k}) = {total} exceeds the budget {budget}; provide a seed "
-                "to run the sampled mode"
-            )
-        worst, witness = _scan(family, sample_subsets(m, k, budget, seed), exact)
+        worst, witness = _scan(family, sample_subsets(m, k, budget, seed), g)
     else:
         threads = min(threads, total, os.cpu_count() or 1)
         bounds = [total * i // threads for i in range(threads + 1)]
-        jobs = [(family, k, bounds[i], bounds[i + 1], exact) for i in range(threads)]
+        jobs = [(family, k, bounds[i], bounds[i + 1], g) for i in range(threads)]
         if threads == 1:
             parts = [_scan_ranks(*jobs[0])]
         else:
@@ -256,8 +218,8 @@ def check_k_collapsing(
         witness=witness,
         k=k,
         sampled=sampled,
-        exact=exact,
-        margin_pow=_norm_power(family.space, exact),
+        exact=g.exact,
+        margin_pow=g.power,
     )
 
 
@@ -266,29 +228,28 @@ def check_full_collapsing(family: VectorFamily) -> ConditionReport:
     m = family.m
     if m > FULL_COLLAPSE_MAX_M:
         raise PreconditionError(f"full collapsing enumeration capped at m = {FULL_COLLAPSE_MAX_M}")
-    exact = family.is_exact()
+    g = family.gauge()
     subsets = chain.from_iterable(revolving_door(m, s) for s in range(1, m + 1))
-    worst, witness = _scan(family, subsets, exact)
+    worst, witness = _scan(family, subsets, g)
     return ConditionReport(
         condition="full-collapsing",
         holds=witness is None,
         margin=worst,
         witness=witness,
-        exact=exact,
-        margin_pow=_norm_power(family.space, exact),
+        exact=g.exact,
+        margin_pow=g.power,
     )
 
 
 def check_strong_balancing(family: VectorFamily) -> ConditionReport:
-    exact = family.is_exact()
+    g = family.gauge()
     total = [0] * len(family.vectors[0])
     for v in family.vectors:
         _vec_add(total, v)
-    nrm = _gauge(family.space, exact)(tuple(total))
-    holds = nrm == 0 if exact else nrm <= TOLERANCE
+    nrm = g.value(tuple(total))
+    holds = nrm == 0 if g.exact else nrm <= TOLERANCE
     return ConditionReport(
-        condition="strong-balancing", holds=holds, margin=nrm, exact=exact,
-        margin_pow=_norm_power(family.space, exact),
+        condition="strong-balancing", holds=holds, margin=nrm, exact=g.exact, margin_pow=g.power
     )
 
 
@@ -348,7 +309,7 @@ def scalar_k_collapsing(values: Sequence[Scalar], k: int, want_witness: bool = F
     if not 1 <= k <= m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
     exact = vectors_exact([values])
-    limit = _limit(exact)
+    limit = unit_limit(exact)
     ordered = sorted(values)
     top = sum(ordered[-k:])
     bottom = sum(ordered[:k])
@@ -398,18 +359,18 @@ def far_partner_check(family: VectorFamily, indices: Sequence[int]) -> bool:
     if len(idx) < 2:
         raise PreconditionError("need at least two indices")
     vectors = family.vectors
-    exact = family.is_exact()
-    gauge, lo = _gauge(family.space, exact), _floor(exact)
+    g = family.gauge()
+    value, lo = g.value, unit_floor(g.exact)
     for i in idx:
-        if gauge(vectors[i]) < lo:
+        if value(vectors[i]) < lo:
             raise PreconditionError(f"vector {i + 1} has norm below 1")
     total = [0] * len(vectors[0])
     for i in idx:
         _vec_add(total, vectors[i])
-    if gauge(total) > _limit(exact):
+    if value(total) > unit_limit(g.exact):
         raise PreconditionError("subset sum has norm above 1")
     return all(
-        any(gauge([a - b for a, b in zip(vectors[i], vectors[j])]) >= lo for j in idx if j != i)
+        any(value([a - b for a, b in zip(vectors[i], vectors[j])]) >= lo for j in idx if j != i)
         for i in idx
     )
 
@@ -432,27 +393,27 @@ def diameter_centroid_check(family: VectorFamily) -> DiameterCentroidReport:
     """
     space, vectors = family.space, family.vectors
     d = space.dim
-    exact = family.is_exact()
-    gauge, p = _gauge(space, exact), _norm_power(space, exact)
+    g = family.gauge()
+    exact = g.exact
     for i, v in enumerate(vectors):
-        if gauge(v) < _floor(exact):
+        if g.value(v) < unit_floor(exact):
             raise PreconditionError(f"vector {i + 1} has norm below 1")
     diam = max(
-        (gauge([a - b for a, b in zip(u, v)]) for u, v in combinations(vectors, 2)), default=0
+        (g.value([a - b for a, b in zip(u, v)]) for u, v in combinations(vectors, 2)), default=0
     )
     total = [0] * len(vectors[0])
     for v in vectors:
         _vec_add(total, v)
     n = len(vectors)
-    cnorm = gauge([Fraction(c, n) if exact else c / n for c in total])
+    cnorm = g.value([Fraction(c, n) if exact else c / n for c in total])
     inv_d = Fraction(1, d) if exact else 1.0 / d
     return DiameterCentroidReport(
         diameter=diam,
         centroid_norm=cnorm,
-        hypothesis_holds=diam < _on_scale(1 + inv_d, p),
-        conclusion_holds=cnorm > _on_scale(inv_d * inv_d, p),
+        hypothesis_holds=diam < g.scale(1 + inv_d),
+        conclusion_holds=cnorm > g.scale(inv_d * inv_d),
         dim=d,
-        power=p,
+        power=g.power,
     )
 
 
@@ -475,10 +436,10 @@ def bnb_max_subfamily(candidates: VectorFamily, k: int):
         raise PreconditionError("k must be at least 1")
     if not candidates.is_exact():
         raise PreconditionError("branch and bound requires exact arithmetic")
-    gauge = _gauge(candidates.space, True)
+    value = candidates.gauge().value
     order = sorted(
         range(candidates.m),
-        key=lambda i: (-gauge(candidates.vectors[i]), candidates.vectors[i]),
+        key=lambda i: (-value(candidates.vectors[i]), candidates.vectors[i]),
     )
     vectors = [candidates.vectors[i] for i in order]
     n = len(vectors)
@@ -503,7 +464,7 @@ def bnb_max_subfamily(candidates: VectorFamily, k: int):
                     f"{n} candidates are too many for k = {k}"
                 )
             v = vectors[c]
-            if any(gauge([a + b for a, b in zip(s, v)]) > 1 for s in sums[k - 1]):
+            if any(value([a + b for a, b in zip(s, v)]) > 1 for s in sums[k - 1]):
                 continue
             saved = [len(s) for s in sums]
             work += sum(saved[:-1])

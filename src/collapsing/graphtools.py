@@ -17,7 +17,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import InvariantError, PreconditionError
-from .family import VectorFamily, _floor, _gauge, _norm_power, _on_scale
+from .family import VectorFamily, check_k_collapsing
+from .scalars import unit_floor
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,12 @@ def make_graph(n: int, edges) -> SimpleGraph:
 def proximity_graph(family: VectorFamily, threshold=1) -> SimpleGraph:
     """Edge whenever the distance is strictly below the threshold."""
     vectors = family.vectors
-    exact = family.is_exact()
-    gauge = _gauge(family.space, exact)
-    bound = _on_scale(threshold, _norm_power(family.space, exact))
+    g = family.gauge()
+    bound = g.scale(threshold)
     edges = [
         (i, j)
         for i, j in combinations(range(len(vectors)), 2)
-        if gauge([a - b for a, b in zip(vectors[i], vectors[j])]) < bound
+        if g.value([a - b for a, b in zip(vectors[i], vectors[j])]) < bound
     ]
     return make_graph(len(vectors), edges)
 
@@ -259,11 +259,8 @@ def bm_pipeline_check(family: VectorFamily, k: int) -> PipelineReport:
     coloring, and the resulting scalar volume inequality.  The measure
     theory behind the inequality is out of scope; only the final scalar
     comparison is evaluated."""
-    from .family import check_k_collapsing
-
-    exact = family.is_exact()
-    gauge = _gauge(family.space, exact)
-    norms_ok = all(gauge(v) >= _floor(exact) for v in family.vectors)
+    norm = family.gauge()
+    norms_ok = all(norm.value(v) >= unit_floor(norm.exact) for v in family.vectors)
     collapsing_ok = check_k_collapsing(family, k).holds
     g = proximity_graph(family, 1)
     delta = max_degree(g)

@@ -28,8 +28,9 @@ from typing import Sequence
 from .errors import PreconditionError
 from .family import VectorFamily, make_family, scalar_k_collapsing
 from .linalg import dot, mat_mul, rank_exact, rank_float
-from .scalars import TOLERANCE, Scalar, format_scalar, parse_scalar, vectors_exact
-from .spaces import dual_unit_vector, linf_space
+from .scalars import (TOLERANCE, Scalar, format_scalar, parse_scalar, unit_floor, unit_limit,
+                      vectors_exact)
+from .spaces import gauge, linf_space
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,14 @@ class RankCertificate:
 
 
 def gram_from_family(family: VectorFamily) -> CollapseMatrix:
-    """Pairing matrix of the family against its dual unit vectors."""
+    """Pairing matrix of the family against the dual unit vectors that
+    ``spaces.dual_unit_vector`` gives, all from one gauge."""
+    dual = gauge(family.space).dual
     functionals = []
     for i, v in enumerate(family.vectors):
         if all(c == 0 for c in v):
             raise PreconditionError(f"vector {i + 1} is zero and has no dual unit vector")
-        functionals.append(dual_unit_vector(family.space, v))
+        functionals.append(dual(v))
     rows = [tuple(dot(f, x) for x in family.vectors) for f in functionals]
     return make_matrix(rows)
 
@@ -106,8 +109,7 @@ def row_normalize(matrix: CollapseMatrix) -> CollapseMatrix:
     absolute value <= 1; preserves rank, row collapsing and zero row sums.
     """
     exact = matrix.is_exact()
-    lo = 1 if exact else 1.0 - TOLERANCE
-    hi = 1 if exact else 1.0 + TOLERANCE
+    lo, hi = unit_floor(exact), unit_limit(exact)
     for i, row in enumerate(matrix.entries):
         if row[i] < lo:
             raise PreconditionError(f"diagonal entry {i + 1} is below 1")

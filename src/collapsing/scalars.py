@@ -20,6 +20,17 @@ Scalar = Union[int, Fraction, float]
 # Single float-mode slack knob, shared by spaces, family and matrixform.
 TOLERANCE = 1e-9
 
+
+def unit_limit(exact: bool):
+    """The largest value that counts as <= 1."""
+    return 1 if exact else 1.0 + TOLERANCE
+
+
+def unit_floor(exact: bool):
+    """The smallest value that counts as >= 1."""
+    return 1 if exact else 1.0 - TOLERANCE
+
+
 # Continued-fraction snap used before exact LPs when inputs are floats.
 SNAP_DENOMINATOR = 10**12
 

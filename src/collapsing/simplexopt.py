@@ -27,6 +27,7 @@ from .linalg import solve_square
 
 EXACT = "exact"
 UPPER_BOUND_ONLY = "upper_bound_only"
+ORACLE_MAX_M = 16  # vertex enumeration guard
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,8 @@ def vertex_oracle(m: int, k: int, p: int = 1, balanced: bool = False) -> OptResu
     basis.  Ties go to the smallest vertex in tuple order.  Independent of
     the closed forms.
     """
-    if m > 16:
-        raise PreconditionError("vertex enumeration capped at m = 16")
+    if m > ORACLE_MAX_M:
+        raise PreconditionError(f"vertex enumeration capped at m = {ORACLE_MAX_M}")
     _check_range(m, k, p, balanced=balanced)
     vertices = _vertices(m, k, balanced)
     if not vertices:
@@ -207,7 +208,13 @@ def vertex_oracle(m: int, k: int, p: int = 1, balanced: bool = False) -> OptResu
 
 
 def oracle_grid(m_values, p_values=(1,), include_balanced=True):
-    """Rows (m, k, p, balanced, closed_form, oracle, exactness) for the CLI."""
+    """Rows (m, k, p, balanced, closed_form, oracle, exactness) for the CLI.
+
+    ``m_values`` is a sequence; an m above ``ORACLE_MAX_M`` raises
+    ``PreconditionError`` before any work.
+    """
+    if max(m_values, default=0) > ORACLE_MAX_M:
+        raise PreconditionError(f"vertex enumeration capped at m = {ORACLE_MAX_M}")
     rows = []
     for m in m_values:
         for k in range(2, m - 1):

@@ -10,13 +10,16 @@ Three space kinds are supported:
   coordinates.
 
 A vector is a plain tuple of scalars of length ``ambient_dim``.
-``norm_function`` reads the space kind once and returns the norm as a
-function; ``norm_eval`` checks its argument (``check_vector``: the length
-and, in an l1 subspace, membership) and then applies it.  Dual unit
-vectors on non-smooth norms use lowest-index tie-breaking so that all
-certificates are deterministic; every downstream matrix bound is valid for
-any choice of dual unit vector, so the tie-break is a convention, not a
-correctness point.
+``gauge`` is the one place that reads the space kind: it compiles the norm
+into a ``Gauge`` that holds the value every verdict compares (the norm, or
+in exact mode the p-th power of an lp norm with integer 1 < p < inf), that
+power, and the dual unit vector.  ``norm_eval`` and ``dual_unit_vector``
+check their argument (``check_vector``: the length and, in an l1 subspace,
+membership) and then make one call to a gauge.  Dual unit vectors on
+non-smooth norms use lowest-index tie-breaking so that all certificates are
+deterministic; every downstream matrix bound is valid for any choice of
+dual unit vector, so the tie-break is a convention, not a correctness
+point.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, PreconditionError
 from .linalg import dot, rank_exact, rank_float, solve_consistent, transpose
@@ -149,94 +152,141 @@ def check_vector(space: NormSpace, x: Sequence[Scalar]) -> None:
             raise PreconditionError("vector lies outside the l1 subspace (float tolerance)")
 
 
-def _integer_lp(p: int):
-    """The lp norm for an integer p >= 2: exact when the data and the root
-    are rational, a float root otherwise."""
-
-    def norm(x: Sequence[Scalar]) -> Scalar:
-        power = sum(c * c for c in x) if p == 2 else sum(abs(c) ** p for c in x)
-        if is_exact(x):
-            root = root_exact(Fraction(power), p)
-            if root is not None:
-                return root
-        return math.sqrt(power) if p == 2 else power ** (1 / p)
-
-    return norm
+def _polyhedral_dual(vals, rows):
+    """The dual unit vector from the inner products ``vals`` of x with the
+    ball's rows: the lowest row of largest |<f, x>|, signed like <f, x>.
+    ``rows`` None stands for the coordinate rows of the sup norm."""
+    j = max(range(len(vals)), key=lambda i: abs(vals[i]))
+    if vals[j] == 0:
+        raise PreconditionError("the zero vector has no dual unit vector")
+    sign = 1 if vals[j] > 0 else -1
+    row = rows[j] if rows else [int(i == j) for i in range(len(vals))]
+    return tuple(sign * c for c in row)
 
 
-def norm_function(space: NormSpace):
-    """The norm of ``space`` as a function of an ambient vector.
+def _sign_dual(x):
+    """The l1 dual unit vector: the signs of the coordinates."""
+    if all(c == 0 for c in x):
+        raise PreconditionError("the zero vector has no dual unit vector")
+    return tuple((c > 0) - (c < 0) for c in x)
 
-    ``space.kind`` is read here, once, and the slab rows (cap included) are
-    built once.  The function checks nothing about its argument: callers
-    that take outside vectors go through ``norm_eval``.  An exact lp norm
-    with an integer p is exact when it is rational and a float root
+
+@dataclass(frozen=True)
+class Gauge:
+    """The norm of ``space`` compiled once by ``gauge``.
+
+    ``value`` maps a vector to what every verdict compares with a
+    threshold: the norm, or its ``power``-th power.  ``dual`` maps a nonzero
+    vector x to a functional f with ||f||* = 1 and <f, x> = ||x||.  Neither
+    checks its argument.
+    """
+
+    space: NormSpace
+    exact: bool
+    value: Callable
+    power: int | None
+    dual: Callable
+
+    def scale(self, threshold):
+        """A norm threshold on the scale of ``value``: itself, or its power.
+
+        A threshold <= 0 stays as it is; no value is negative, so the
+        comparison comes out the same.
+        """
+        return threshold ** self.power if self.power is not None and threshold > 0 else threshold
+
+    def __reduce__(self):
+        # The closures do not pickle, so a process pool rebuilds the gauge.
+        return gauge, (self.space, self.exact)
+
+
+def gauge(space: NormSpace, exact: bool = False) -> Gauge:
+    """Compile the norm of ``space``: ``space.kind`` and ``space.p`` are read
+    here, once, for the value, its power and the dual.
+
+    In exact mode an lp norm with an integer 1 < p < inf is irrational in
+    general, so ``value`` is the exact p-th power sum |c|^p with ``power``
+    p, and a non-integer p raises ``PreconditionError``.  Otherwise
+    ``value`` is the norm; an lp norm with an integer p is exact when the
+    data and the root are rational, and a float root otherwise.  The dual
+    does not depend on ``exact``.  Slab rows (cap included) are built once,
+    and the polyhedral duals (slab and sup) read the lowest attaining row
+    from the one pass of inner products that gives the norm.  For an exact
+    vector in an lp space with 1 < p < inf the dual is exact when p is an
+    integer and the norm is rational, and raises ``PreconditionError``
     otherwise.
     """
+    power = None
     if space.kind == "slab":
         rows = _slab_rows(space)
-        return lambda x: max(abs(dot(f, x)) for f in rows)
-    if space.kind == "l1sub" or space.p == 1:
-        return lambda x: sum(abs(c) for c in x)
-    if space.kind != "lp":
+        value = lambda x: max(abs(dot(f, x)) for f in rows)
+        dual = lambda x: _polyhedral_dual([dot(f, x) for f in rows], rows)
+    elif space.kind == "l1sub" or space.p == 1:
+        value, dual = (lambda x: sum(abs(c) for c in x)), _sign_dual
+    elif space.kind != "lp":
         raise ValueError(f"unknown space kind {space.kind}")
-    p = space.p
-    if p == math.inf:
-        return lambda x: max((abs(c) for c in x), default=0)
-    if p == int(p):
-        return _integer_lp(int(p))
-    return lambda x: sum(abs(c) ** p for c in x) ** (1 / p)
+    elif space.p == math.inf:
+        value = lambda x: max((abs(c) for c in x), default=0)
+        dual = lambda x: _polyhedral_dual(x, None)
+    else:
+        p = space.p
+        integral = p == int(p)
+        if exact and not integral:
+            raise PreconditionError(
+                f"exact mode needs an integer p in an lp space, got p = {format_scalar(p)}"
+            )
+        n = int(p) if integral else p  # an int exponent keeps rational data exact
+        power_sum = (lambda x: sum(c * c for c in x)) if n == 2 else (
+            lambda x: sum(abs(c) ** n for c in x))
+
+        def norm(x):
+            total = power_sum(x)
+            if integral and is_exact(x):
+                root = root_exact(Fraction(total), n)
+                if root is not None:
+                    return root
+            return math.sqrt(total) if n == 2 else total ** (1 / n)
+
+        value, power = (power_sum, n) if exact else (norm, None)
+
+        def dual(x):
+            nrm = norm(x)
+            if nrm == 0:
+                raise PreconditionError("the zero vector has no dual unit vector")
+            if isinstance(nrm, float) and is_exact(x):
+                coords = ", ".join(str(format_scalar(c)) for c in x)
+                raise PreconditionError(
+                    f"an exact dual unit vector of ({coords}) in l{format_scalar(p)} needs an "
+                    "integer p and a rational norm; float coordinates give a float pairing matrix"
+                )
+            if p == 2:
+                return tuple(c / nrm for c in x)
+            return tuple(((c > 0) - (c < 0)) * abs(c) ** (p - 1) / nrm ** (p - 1) for c in x)
+
+    return Gauge(space, exact, value, power, dual)
 
 
 def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:
     """The norm of ``x`` after ``check_vector``; exact when the data is rational.
 
-    Each call checks its argument, and in an l1 subspace that is a solve:
-    code that evaluates many sums of checked vectors builds
-    ``norm_function`` once instead.
+    Each call checks its argument and compiles the norm, and in an l1
+    subspace the check is a solve: code that evaluates many sums of checked
+    vectors builds ``gauge`` once instead.
     """
     check_vector(space, x)
-    return norm_function(space)(x)
+    return gauge(space).value(x)
 
 
 def dual_unit_vector(space: NormSpace, x: Sequence[Scalar]) -> Vec:
-    """A functional f with ||f||* = 1 and <f, x> = ||x||.
+    """A functional f with ||f||* = 1 and <f, x> = ||x||, after ``check_vector``.
 
     Non-smooth norms break ties at the lowest attaining index.  For an
     exact ``x`` in an lp space with 1 < p < inf, f is exact when p is an
     integer and ||x|| is rational; otherwise f would be a float, so this
-    raises ``PreconditionError``.
+    raises ``PreconditionError``, as it does for the zero vector.
     """
-    nrm = norm_eval(space, x)
-    if nrm == 0:
-        raise PreconditionError("the zero vector has no dual unit vector")
-    if space.kind == "lp":
-        p = space.p
-        if p == math.inf:
-            j = next(i for i, c in enumerate(x) if abs(c) == nrm)
-            sign = 1 if x[j] > 0 else -1
-            return tuple(sign if i == j else 0 for i in range(space.dim))
-        if p == 1:
-            return tuple((c > 0) - (c < 0) for c in x)
-        if isinstance(nrm, float) and is_exact(x):
-            coords = ", ".join(str(format_scalar(c)) for c in x)
-            raise PreconditionError(
-                f"an exact dual unit vector of ({coords}) in l{format_scalar(p)} needs an "
-                "integer p and a rational norm; float coordinates give a float pairing matrix"
-            )
-        if p == 2:
-            return tuple(c / nrm for c in x)
-        return tuple(
-            ((c > 0) - (c < 0)) * abs(c) ** (p - 1) / nrm ** (p - 1) for c in x
-        )
-    if space.kind == "slab":
-        rows = _slab_rows(space)
-        j = next(i for i, f in enumerate(rows) if abs(dot(f, x)) == nrm)
-        sign = 1 if dot(rows[j], x) > 0 else -1
-        return tuple(sign * c for c in rows[j])
-    if space.kind == "l1sub":
-        return tuple((c > 0) - (c < 0) for c in x)
-    raise ValueError(f"unknown space kind {space.kind}")
+    check_vector(space, x)
+    return gauge(space).dual(x)
 
 
 # ---------------------------------------------------------------------------

@@ -335,3 +335,39 @@ def test_search_bad_or_too_large_is_usage_error(monkeypatch, capsys, d, k, messa
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def _refuse_oracle_work(*args, **kwargs):
+    raise AssertionError("the oracle ran before its arguments were checked")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle"], "needs --m and --k"),
+    (["oracle", "--m", "8"], "needs --m and --k"),
+    (["oracle", "--grid", "--mmax", "17"], "capped at m = 16"),
+])
+def test_oracle_bad_arguments_exit_2_before_any_work(monkeypatch, capsys, argv, message):
+    # Without --m/--k the closed forms used to end in a TypeError traceback,
+    # and --mmax 17 used to enumerate m = 4..16 before meeting the cap.
+    import collapsing.simplexopt as simplexopt
+
+    monkeypatch.setattr(simplexopt, "_vertices", _refuse_oracle_work)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--d", "-1", "--k", "2"], "dimension must be positive"),
+    (["bound", "--k", "2", "--d", "2", "--all", "--p", "0"], "need p >= 1"),
+])
+def test_search_and_bound_bad_arguments_exit_2(capsys, argv, message):
+    # --d -1 used to end in a ValueError traceback, and --p 0 used to sweep
+    # p in [1, 10] as if --p were absent.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapsing import spaces
-from collapsing.constructions import linf_cross
+from collapsing import linalg, spaces
+from collapsing.constructions import linf_cross, pk_polytope_norm
 from collapsing.errors import PreconditionError
 from collapsing.family import check_k_collapsing, check_strong_balancing, make_family
 from collapsing.matrixform import (
@@ -67,11 +67,17 @@ class TestGram:
             gram_from_family(fam)
 
     def test_one_norm_evaluation_per_vector(self):
-        fam = linf_cross(4)
+        # The slab norm is one pass of inner products <f, x>, one per row f,
+        # and the dual reads its attaining row from that same pass; a dual
+        # that evaluated the norm first and then searched the rows again
+        # would call ``dot`` more often.
+        space = pk_polytope_norm(4, 2)
+        fam = make_family(space, linf_cross(4).vectors)
         calls = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is spaces.norm_eval.__code__:
+            if (event == "call" and frame.f_code is linalg.dot.__code__
+                    and frame.f_back.f_code.co_filename == spaces.__file__):
                 calls.append(event)
 
         outer = sys.getprofile()
@@ -80,7 +86,7 @@ class TestGram:
             gram_from_family(fam)
         finally:
             sys.setprofile(outer)
-        assert len(calls) == fam.m
+        assert len(calls) == fam.m * len(spaces._slab_rows(space))
 
 
 class TestFamilyFromMatrix:

@@ -1,16 +1,22 @@
+import dataclasses
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsing import matrixform
 from collapsing.errors import DimensionMismatchError, PreconditionError
+from collapsing.family import make_family
 from collapsing.linalg import dot, nullspace
 from collapsing.lp import OPTIMAL, linprog_exact
+from collapsing.scalars import root_exact
 from collapsing.spaces import (
     _slab_rows,
     dual_unit_vector,
+    gauge,
     l1_subspace,
     linf_space,
     lp_space,
@@ -265,3 +271,79 @@ def test_json_roundtrip():
     ]
     for s in spaces:
         assert space_from_json(space_to_json(s)) == s
+
+
+# One space of every compiled kind: (space, float coordinates).
+COMPILED = [
+    (linf_space(3), False),
+    (lp_space(3, 1), False),
+    (slab_space([(1, 0, 0), (1, 1, 0), (0, 1, 0)], cap=((1, 1, 1), 2)), False),
+    (l1_subspace(3, [(1, -1, 0), (1, 1, 1)]), False),
+    (lp_space(3, 2), False),
+    (lp_space(3, 3), False),
+    (lp_space(3, 2), True),
+]
+
+
+def reference_dual(space, x):
+    """The dual unit vector by its textbook formula, ties to the lowest index."""
+    if space.kind == "slab" or space.p == math.inf:
+        rows = _slab_rows(space) if space.kind == "slab" else [
+            tuple(int(i == j) for i in range(space.dim)) for j in range(space.dim)]
+        pairs = [dot(f, x) for f in rows]
+        top = max(abs(v) for v in pairs)
+        j = min(i for i, v in enumerate(pairs) if abs(v) == top)
+        return tuple((1 if pairs[j] > 0 else -1) * c for c in rows[j])
+    if space.kind == "l1sub" or space.p == 1:
+        return tuple((c > 0) - (c < 0) for c in x)
+    p, nrm = space.p, norm_eval(space, x)
+    return tuple(((c > 0) - (c < 0)) * abs(c) ** (p - 1) / nrm ** (p - 1) for c in x)
+
+
+def draw_member(data, space, floats):
+    if floats:
+        # No subnormal coordinates: their squares underflow to a zero norm.
+        coord = st.just(0.0) | st.floats(1e-3, 4) | st.floats(-4, -1e-3)
+        return tuple(data.draw(coord) for _ in range(space.dim))
+    if space.kind == "l1sub":
+        a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        return tuple(a * u + b * v for u, v in zip(*space.basis))
+    # (1, 2, 2) and (3, 4, 5) have rational l2 and l3 norms.
+    rational_norm = st.sampled_from([(1, 2, 2), (-2, 1, 2), (3, 4, 5), (-5, 3, 4), (0, 0, -1)])
+    return data.draw(rational_norm | st.tuples(*[st.integers(-2, 2)] * space.dim))
+
+
+@given(st.integers(0, len(COMPILED) - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_compiled_gauge_matches_norm_eval_and_gram_matches_dual(space_index, data):
+    space, floats = COMPILED[space_index]
+    drawn = [draw_member(data, space, floats) for _ in range(data.draw(st.integers(1, 4)))]
+    vectors = [v for v in drawn if any(c != 0 for c in v)]
+    if not vectors:
+        return
+    family = make_family(space, vectors)
+    g = family.gauge()
+    for x in vectors:
+        nrm = norm_eval(space, x)
+        if g.power is None:
+            assert g.value(x) == nrm
+        else:
+            assert g.value(x) == sum(abs(c) ** g.power for c in x)
+            assert g.value(x) == nrm ** g.power or isinstance(nrm, float)
+    rational = floats or space.kind != "lp" or space.p in (1, math.inf) or all(
+        root_exact(F(sum(abs(c) ** space.p for c in x)), space.p) is not None for x in vectors)
+    if not rational:
+        with pytest.raises(PreconditionError):
+            matrixform.gram_from_family(family)
+        return
+    seen = []
+
+    def recording_gauge(space, exact=False):
+        compiled = gauge(space, exact)
+        return dataclasses.replace(compiled, dual=lambda x: seen.append(compiled.dual(x)) or seen[-1])
+
+    with mock.patch.object(matrixform, "gauge", recording_gauge):
+        a = matrixform.gram_from_family(family)
+    assert seen == [dual_unit_vector(space, x) for x in vectors]
+    assert seen == [reference_dual(space, x) for x in vectors]
+    assert a.entries == tuple(tuple(dot(f, x) for x in vectors) for f in seen)
