@@ -130,13 +130,15 @@ def _param(params: dict, key: str, conv=int, default=None):
 
 
 def cmd_verify(args) -> int:
+    # --threads does nothing (every scan runs in one process); a value below
+    # 1 stays a usage error.
+    if args.threads < 1:
+        raise PreconditionError(f"need threads >= 1, got {args.threads}")
     family = _load_json(args.family, family_from_json)
     if args.condition == "kcollapsing":
         if args.k is None:
             raise PreconditionError("verify --condition kcollapsing needs --k")
-        report = check_k_collapsing(
-            family, args.k, budget=args.budget, seed=args.seed, threads=args.threads
-        )
+        report = check_k_collapsing(family, args.k, budget=args.budget, seed=args.seed)
     elif args.condition == "full":
         report = check_full_collapsing(family)
     elif args.condition == "strong":
@@ -151,6 +153,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     k, d = args.k, args.d
+    if args.p is not None and args.p < 1:
+        raise PreconditionError(f"need p >= 1, got {args.p}")
     if args.best or not args.all:
         bb = best_bounds(k, d)
         _emit(bb.to_json())
@@ -338,14 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored: the scan runs in one process")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="evaluate bounds at (k, d)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, default=None,
-                   help="entrywise-power exponent; default sweeps p in [1, 10]")
+                   help="entrywise-power exponent p >= 1; default sweeps p in [1, 10]")
     p.add_argument("--all", action="store_true")
     p.add_argument("--best", action="store_true")
     p.add_argument("--dist-sq", type=float, default=None,

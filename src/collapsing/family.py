@@ -6,16 +6,17 @@ weakly balancing when the origin lies in the relative interior of the
 convex hull.  All verifiers return ``ConditionReport`` certificates whose
 witness indices are 1-based, matching the JSON certificate format.
 
-Every subset-sum check is one loop, ``_scan``, over a stream of subsets.
-It moves the running sum from one subset to the next by their symmetric
-difference and rebuilds it from zero when the difference is larger than
-the new subset.  The exhaustive k-scan streams the revolving-door order,
-where the difference is one swap (one addition and one subtraction); with
-``threads > 1`` its C(m, k) ranks are split into contiguous ranges, one
-scanned in-process and the rest in a process pool, and the parts are
-merged by max margin and min witness.  The full scan streams the
-revolving-door order size by size, and the sampled mode streams seeded
-random k-subsets.
+Every subset-sum check is one loop, ``_scan``, over a stream of subsets,
+in one process.  It moves the running sum from one subset to the next by
+their symmetric difference and rebuilds it from zero when the difference is
+larger than the new subset.  The exhaustive k-scan streams the
+revolving-door order, where the difference is one swap (one addition and
+one subtraction); the full scan streams that order size by size, and the
+sampled mode streams seeded random k-subsets.  In a slab space the loop
+runs in row coordinates: ||x|| = max_f |<f, x>| over the slab rows
+(``Gauge.rows``), so each member is paired with the rows once, and a
+subset sum's norm is the largest |entry| of the sum of its members'
+pairings.
 
 Every norm verdict (the scans, strong balancing, the far-partner and
 diameter/centroid checks, the branch and bound, and the proximity graph and
@@ -33,14 +34,14 @@ the (k-1)-subset sums of its chosen prefix.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, PreconditionError
+from .linalg import dot
 from .lp import OPTIMAL, linprog_exact
 from .scalars import (TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, unit_floor,
                       unit_limit, vectors_exact)
@@ -128,12 +129,17 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], g: Gauge):
     The running sum moves from one subset to the next by their symmetric
     difference, or is rebuilt from zero when the difference is larger than
     the new subset.  The value is the norm, or its p-th power (``g.power``).
+    With slab rows (``g.rows``) the members are mapped once to their
+    pairings with the rows, and the norm of a sum is its largest |entry|.
     The witness is a sorted 1-based tuple; both results are None for an
     empty stream.
     """
     limit = unit_limit(g.exact)
-    vectors = family.vectors
-    value = g.value
+    if g.rows is None:
+        vectors, value = family.vectors, g.value
+    else:
+        vectors = [tuple(dot(f, v) for f in g.rows) for v in family.vectors]
+        value = lambda y: max(abs(c) for c in y)
     dim = len(vectors[0])
     running = [0] * dim
     current: set = set()
@@ -160,30 +166,21 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], g: Gauge):
     return worst, witness
 
 
-def _scan_ranks(family: VectorFamily, k: int, start: int, stop: int, g: Gauge):
-    """``_scan`` over revolving-door ranks [start, stop); picklable for the pool."""
-    return _scan(family, islice(revolving_door(family.m, k), start, stop), g)
-
-
 def check_k_collapsing(
     family: VectorFamily,
     k: int,
     budget: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
 ) -> ConditionReport:
     """Scan all (or a seeded sample of) k-subset sums of the family.
 
     The report carries the worst subset-sum norm as ``margin`` and the
     lexicographically smallest violating subset as ``witness``; both are
-    deterministic, also when the ranks are split across ``threads``
-    processes (at most ``os.cpu_count()`` and C(m, k) of them).
+    deterministic.
     """
     m = family.m
     if not 1 <= k <= m:
         raise PreconditionError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if threads < 1:
-        raise PreconditionError(f"need threads >= 1, got {threads}")
     if budget is not None and budget < 1:
         raise PreconditionError(f"need budget >= 1, got {budget}")
     total = comb(m, k)
@@ -194,23 +191,8 @@ def check_k_collapsing(
             "to run the sampled mode"
         )
     g = family.gauge()
-    if sampled:
-        worst, witness = _scan(family, sample_subsets(m, k, budget, seed), g)
-    else:
-        threads = min(threads, total, os.cpu_count() or 1)
-        bounds = [total * i // threads for i in range(threads + 1)]
-        jobs = [(family, k, bounds[i], bounds[i + 1], g) for i in range(threads)]
-        if threads == 1:
-            parts = [_scan_ranks(*jobs[0])]
-        else:
-            import multiprocessing as mp
-
-            # The first range runs here while the pool scans the others.
-            with mp.Pool(processes=threads - 1) as pool:
-                rest = pool.starmap_async(_scan_ranks, jobs[1:])
-                parts = [_scan_ranks(*jobs[0])] + rest.get()
-        worst = max(w for w, _ in parts)
-        witness = min((w for _, w in parts if w is not None), default=None)
+    subsets = sample_subsets(m, k, budget, seed) if sampled else revolving_door(m, k)
+    worst, witness = _scan(family, subsets, g)
     return ConditionReport(
         condition="k-collapsing",
         holds=witness is None,

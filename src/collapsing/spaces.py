@@ -13,13 +13,13 @@ A vector is a plain tuple of scalars of length ``ambient_dim``.
 ``gauge`` is the one place that reads the space kind: it compiles the norm
 into a ``Gauge`` that holds the value every verdict compares (the norm, or
 in exact mode the p-th power of an lp norm with integer 1 < p < inf), that
-power, and the dual unit vector.  ``norm_eval`` and ``dual_unit_vector``
-check their argument (``check_vector``: the length and, in an l1 subspace,
-membership) and then make one call to a gauge.  Dual unit vectors on
-non-smooth norms use lowest-index tie-breaking so that all certificates are
-deterministic; every downstream matrix bound is valid for any choice of
-dual unit vector, so the tie-break is a convention, not a correctness
-point.
+power, the dual unit vector and, in a slab space, the rows of the ball.
+``norm_eval`` and ``dual_unit_vector`` check their argument
+(``check_vector``: the length and, in an l1 subspace, membership) and then
+make one call to a gauge.  Dual unit vectors on non-smooth norms use
+lowest-index tie-breaking so that all certificates are deterministic; every
+downstream matrix bound is valid for any choice of dual unit vector, so the
+tie-break is a convention, not a correctness point.
 """
 
 from __future__ import annotations
@@ -178,7 +178,8 @@ class Gauge:
     ``value`` maps a vector to what every verdict compares with a
     threshold: the norm, or its ``power``-th power.  ``dual`` maps a nonzero
     vector x to a functional f with ||f||* = 1 and <f, x> = ||x||.  Neither
-    checks its argument.
+    checks its argument.  ``rows`` holds the rows f of a slab ball
+    {x : |<f, x>| <= 1}, cap included, and is None for the other kinds.
     """
 
     space: NormSpace
@@ -186,6 +187,7 @@ class Gauge:
     value: Callable
     power: int | None
     dual: Callable
+    rows: list | None
 
     def scale(self, threshold):
         """A norm threshold on the scale of ``value``: itself, or its power.
@@ -194,10 +196,6 @@ class Gauge:
         comparison comes out the same.
         """
         return threshold ** self.power if self.power is not None and threshold > 0 else threshold
-
-    def __reduce__(self):
-        # The closures do not pickle, so a process pool rebuilds the gauge.
-        return gauge, (self.space, self.exact)
 
 
 def gauge(space: NormSpace, exact: bool = False) -> Gauge:
@@ -209,14 +207,14 @@ def gauge(space: NormSpace, exact: bool = False) -> Gauge:
     p, and a non-integer p raises ``PreconditionError``.  Otherwise
     ``value`` is the norm; an lp norm with an integer p is exact when the
     data and the root are rational, and a float root otherwise.  The dual
-    does not depend on ``exact``.  Slab rows (cap included) are built once,
-    and the polyhedral duals (slab and sup) read the lowest attaining row
-    from the one pass of inner products that gives the norm.  For an exact
-    vector in an lp space with 1 < p < inf the dual is exact when p is an
-    integer and the norm is rational, and raises ``PreconditionError``
-    otherwise.
+    does not depend on ``exact``.  Slab rows (cap included) are built once
+    and kept as ``rows``, and the polyhedral duals (slab and sup) read the
+    lowest attaining row from the one pass of inner products that gives the
+    norm.  For an exact vector in an lp space with 1 < p < inf the dual is
+    exact when p is an integer and the norm is rational, and raises
+    ``PreconditionError`` otherwise.
     """
-    power = None
+    power = rows = None
     if space.kind == "slab":
         rows = _slab_rows(space)
         value = lambda x: max(abs(dot(f, x)) for f in rows)
@@ -259,11 +257,11 @@ def gauge(space: NormSpace, exact: bool = False) -> Gauge:
                     f"an exact dual unit vector of ({coords}) in l{format_scalar(p)} needs an "
                     "integer p and a rational norm; float coordinates give a float pairing matrix"
                 )
-            if p == 2:
+            if n == 2:
                 return tuple(c / nrm for c in x)
-            return tuple(((c > 0) - (c < 0)) * abs(c) ** (p - 1) / nrm ** (p - 1) for c in x)
+            return tuple(((c > 0) - (c < 0)) * abs(c) ** (n - 1) / nrm ** (n - 1) for c in x)
 
-    return Gauge(space, exact, value, power, dual)
+    return Gauge(space, exact, value, power, dual, rows)
 
 
 def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:

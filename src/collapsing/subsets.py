@@ -3,8 +3,7 @@
 The revolving-door order (Nijenhuis and Wilf, *Combinatorial Algorithms*)
 visits all k-subsets of [n] so that consecutive subsets differ by exactly
 one element swapped in and one swapped out; a running vector sum then needs
-one addition and one subtraction per step.  Contiguous ranges of its ranks
-are what a parallel scan hands to each worker.
+one addition and one subtraction per step.
 """
 
 from __future__ import annotations

@@ -323,6 +323,19 @@ def test_gram_rational_exact_lp_norm_stays_exact(tmp_path, capsys, space, vector
     assert [payload["entries"][i][i] for i in range(2)] == [1, 1]
 
 
+def test_gram_float_integral_p_is_exact(tmp_path, capsys):
+    # The dual used to raise |c| to the float power p - 1 = 2.0.
+    outputs = []
+    for p in (3.0, 3):
+        path = tmp_path / f"f{p!r}.json"
+        path.write_text(json.dumps({"space": {"dim": 2, "kind": "lp", "p": p},
+                                    "vectors": [[1, 0], [0, "1/2"]]}))
+        outputs.append(run(capsys, "gram", "--family", str(path)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert json.loads(outputs[0][1])["certificate"]["trace"] == "3/2"
+
+
 @pytest.mark.parametrize("d, k, message", [("2", "0", "k must be at least 1"),
                                             ("2", "-1", "k must be at least 1"),
                                             ("2", "2", "capped at 83 steps")])
@@ -362,10 +375,11 @@ def test_oracle_bad_arguments_exit_2_before_any_work(monkeypatch, capsys, argv, 
 @pytest.mark.parametrize("argv, message", [
     (["search", "--d", "-1", "--k", "2"], "dimension must be positive"),
     (["bound", "--k", "2", "--d", "2", "--all", "--p", "0"], "need p >= 1"),
+    (["bound", "--k", "2", "--d", "2", "--p", "0"], "need p >= 1"),
 ])
 def test_search_and_bound_bad_arguments_exit_2(capsys, argv, message):
-    # --d -1 used to end in a ValueError traceback, and --p 0 used to sweep
-    # p in [1, 10] as if --p were absent.
+    # --d -1 used to end in a ValueError traceback, --all --p 0 used to sweep
+    # p in [1, 10] as if --p were absent, and --p 0 without --all went unread.
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction as F
 from math import comb
 
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapsing.family as family_module
-from collapsing.constructions import fixture_X, fixture_Y, linf_cross
+from collapsing.cli import main
+from collapsing.constructions import (
+    FiniteFieldParams,
+    fixture_X,
+    fixture_Y,
+    lift_almost_orthogonal,
+    linf_cross,
+    polynomial_vectors,
+)
 from collapsing.errors import InvariantError, PreconditionError
 from collapsing.family import (
     ConditionReport,
@@ -35,8 +44,10 @@ def sign_vectors(d):
 
 def drawn_family(data, m):
     """A family of m drawn vectors in a drawn space (sup norm, a slab space
-    with a cap, or an l1 subspace), with the space's norm as a plain formula."""
-    kind = data.draw(st.sampled_from(("linf", "slab", "l1sub")))
+    with a cap, the same slab space with float data, or an l1 subspace),
+    with the space's norm as a plain formula.  The float data are halves,
+    so every float sum and pairing the scans take is exact."""
+    kind = data.draw(st.sampled_from(("linf", "slab", "slab-float", "l1sub")))
     coeff = st.integers(-2, 2)
     if kind == "linf":
         d = data.draw(st.integers(1, 3))
@@ -44,7 +55,9 @@ def drawn_family(data, m):
         return make_family(linf_space(d), vectors), lambda x: max(abs(c) for c in x)
     halves = [F(data.draw(coeff), 2) for _ in range(2 * m)]
     pairs = list(zip(halves[::2], halves[1::2]))
-    if kind == "slab":
+    if kind == "slab-float":
+        pairs = [(float(a), float(b)) for a, b in pairs]
+    if kind != "l1sub":
         # rows (1, 0) and (1, 1), cap |x_1 - x_2| <= 2
         space = slab_space([(1, 0), (1, 1)], cap=((1, -1), 2))
         return make_family(space, pairs), lambda x: max(
@@ -101,42 +114,62 @@ class TestKCollapsing:
         assert report.sampled
         assert report.holds
 
-    def test_parallel_scan_matches_serial(self):
-        family = make_family(
-            linf_space(3), sign_vectors(3)[:12]
-        )
-        serial = check_k_collapsing(family, 3)
-        parallel = check_k_collapsing(family, 3, threads=3)
-        assert serial.holds == parallel.holds
-        assert serial.margin == parallel.margin
-        assert serial.witness == parallel.witness
+    def test_lift_margins_in_row_coordinates(self):
+        _, family = lift_almost_orthogonal(polynomial_vectors(FiniteFieldParams(q=7, s=1)), 2)
+        report = check_k_collapsing(family, 2)
+        assert (report.holds, report.margin, report.witness) == (True, F(11, 12), None)
+        report = check_k_collapsing(family, 3)
+        assert (report.holds, report.margin, report.witness) == (False, F(11, 8), (1, 2, 3))
+
+    # ``verify --threads`` is a no-op kept for old command lines: the scan
+    # runs in one process whatever the value.
+    SLAB_FAMILY = {
+        "space": {"dim": 2, "kind": "slab", "functionals": [[1, 0], [1, 1]],
+                  "cap": {"direction": [1, -1], "bound": 2}},
+        "vectors": [["1/2", 0], [0, "1/2"], ["1/2", "-1"], [-1, "1/2"], ["1/2", "1/2"]],
+    }
+
+    @staticmethod
+    def verify_outputs(tmp_path, capsys, monkeypatch, threads):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("verify started a process pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        path = tmp_path / "slab.json"
+        path.write_text(json.dumps(TestKCollapsing.SLAB_FAMILY))
+        outputs = []
+        for t in threads:
+            code = main(["verify", "--family", str(path), "--k", "2", "--threads", t])
+            outputs.append((code, capsys.readouterr().out))
+        return outputs
+
+    def test_parallel_scan_matches_serial(self, tmp_path, capsys, monkeypatch):
+        serial, parallel = self.verify_outputs(tmp_path, capsys, monkeypatch, ("1", "2"))
+        assert serial == parallel
+        assert serial[0] == 1
+        assert json.loads(serial[1])["witness"] is not None
+
+    def test_threads_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial, wide = self.verify_outputs(tmp_path, capsys, monkeypatch, ("1", "8"))
+        assert serial == wide
 
     def test_k_out_of_range(self):
         family = linf_cross(2)
         with pytest.raises(PreconditionError):
             check_k_collapsing(family, 5)
 
-    def test_threads_clamped_to_cpu_count(self, monkeypatch):
-        import multiprocessing
-        import os
-
-        def no_pool(*args, **kwargs):
-            pytest.fail("a pool was started for a one-CPU scan")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        family = make_family(linf_space(3), sign_vectors(3)[:12])
-        report = check_k_collapsing(family, 3, threads=4)
-        assert report == check_k_collapsing(family, 3)
-
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_scan_matches_brute_force(self, data):
         m = data.draw(st.integers(2, 7))
         k = data.draw(st.integers(1, m))
-        threads = data.draw(st.sampled_from((1, 2)))
         family, norm = drawn_family(data, m)
-        report = check_k_collapsing(family, k, threads=threads)
+        report = check_k_collapsing(family, k)
         worst, witness = brute_force(family.vectors, norm, itertools.combinations(range(m), k))
         assert report.margin == worst
         assert report.witness == witness
@@ -224,7 +257,7 @@ class TestExactLp:
         def power(x):
             return sum(abs(c) ** p for c in x)
 
-        report = check_k_collapsing(family, k, threads=data.draw(st.sampled_from((1, 2))))
+        report = check_k_collapsing(family, k)
         worst, witness = brute_force(vectors, power, itertools.combinations(range(m), k))
         assert (report.margin, report.witness, report.holds) == (worst, witness, witness is None)
         full = check_full_collapsing(family)
