@@ -53,6 +53,15 @@ def _not_applicable(name: str, kind: str, quantity: str, note: str = "") -> Boun
     return BoundResult(name=name, kind=kind, quantity=quantity, applicable=False, note=note)
 
 
+def _shown(x) -> float | None:
+    """``x`` as the float shown next to an exact value, or None past the
+    binary64 range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def _check_kd(k: int, d: int) -> None:
     if k < 2 or d < 2:
         raise PreconditionError("need k >= 2 and d >= 2")
@@ -121,16 +130,27 @@ def ub_balanced(k: int, d: int) -> BoundResult:
 
 
 def ub_rank_power(k: int, d: int) -> BoundResult:
-    """C(k, d) < 1.33 k^(2 gamma_k d + 2); refined by k/sqrt(d) when k < sqrt(d)."""
+    """C(k, d) < 1.33 k^(2 gamma_k d + 2); refined by k/sqrt(d) when k < sqrt(d).
+
+    The bound is evaluated in binary64.  Past its range the float cannot
+    give the floor, so the bound is reported as not applicable.
+    """
     _check_kd(k, d)
     g = gamma_k(k).gamma
-    power = float(k) ** (2.0 * g * d + 2.0)
+    try:
+        power = float(k) ** (2.0 * g * d + 2.0)
+    except OverflowError:
+        power = math.inf
     if k * k < d:
         value = k / math.sqrt(d) * power
         note = "refined branch k < sqrt(d)"
     else:
         value = 1.33 * power
         note = ""
+    if math.isinf(value):
+        return _not_applicable(
+            "rank-power", "upper", "C", note="k^(2 gamma_k d + 2) exceeds binary64"
+        )
     return BoundResult(
         name="rank-power", kind="upper", quantity="C",
         applicable=True, value=value, value_int=math.floor(value), note=note,
@@ -210,12 +230,13 @@ def ub_smalldim(k: int, d: int) -> BoundResult:
 
 
 def ub_volume_coloring(k: int, d: int) -> BoundResult:
-    """C(k, d) <= k (1 + 2/k)^d + k - 1; rational, floored exactly."""
+    """C(k, d) <= k (1 + 2/k)^d + k - 1; rational, floored exactly.  The
+    float ``value`` is None past the binary64 range."""
     _check_kd(k, d)
     exact_val = Fraction((k + 2) ** d, k ** (d - 1)) + (k - 1)
     return BoundResult(
         name="volume-coloring", kind="upper", quantity="C",
-        applicable=True, value=float(exact_val), value_int=math.floor(exact_val),
+        applicable=True, value=_shown(exact_val), value_int=math.floor(exact_val),
     )
 
 
@@ -287,7 +308,7 @@ def ub_hadamard(k: int, d: int, p: int) -> BoundResult:
     floor_val = math.floor(val) if val != math.floor(val) else int(val) - 1
     return BoundResult(
         name="hadamard", kind="upper", quantity="C",
-        applicable=True, value=float(val), value_int=floor_val, note=f"p={p}",
+        applicable=True, value=_shown(val), value_int=floor_val, note=f"p={p}",
     )
 
 
@@ -335,7 +356,12 @@ def lb_greedy(k: int, d: int) -> BoundResult:
     k), so the result is flagged and kept out of best_bounds aggregation.
     """
     _check_kd(k, d)
-    val = (1.0 + 1.0 / (2.0 * (2 * k + 1) ** 2)) ** d
+    try:
+        val = (1.0 + 1.0 / (2.0 * (2 * k + 1) ** 2)) ** d
+    except OverflowError:
+        return _not_applicable(
+            "greedy-spherical", "lower", "C", note="(1 + 1/(2(2k+1)^2))^d exceeds binary64"
+        )
     return BoundResult(
         name="greedy-spherical", kind="lower", quantity="C",
         applicable=True, value=val, value_int=math.floor(val),
@@ -369,7 +395,7 @@ def lb_polynomial(k: int, d: int) -> BoundResult:
     v = q ** (c + 2)
     return BoundResult(
         name="polynomial-codes", kind="lower", quantity="C",
-        applicable=True, value=float(v), value_int=v, note=f"q={q}, c={c}",
+        applicable=True, value=_shown(v), value_int=v, note=f"q={q}, c={c}",
     )
 
 

@@ -12,11 +12,11 @@ their symmetric difference and rebuilds it from zero when the difference is
 larger than the new subset.  The exhaustive k-scan streams the
 revolving-door order, where the difference is one swap (one addition and
 one subtraction); the full scan streams that order size by size, and the
-sampled mode streams seeded random k-subsets.  In a slab space the loop
-runs in row coordinates: ||x|| = max_f |<f, x>| over the slab rows
-(``Gauge.rows``), so each member is paired with the rows once, and a
-subset sum's norm is the largest |entry| of the sum of its members'
-pairings.
+sampled mode streams seeded random k-subsets.  For a polyhedral norm (sup
+or slab) the loop runs in row coordinates: ||x|| = max_f |<f, x>| over the
+rows of the ball (``Gauge.row_map``), so each member is mapped to its row
+coordinates once, and a subset sum's norm is the largest |entry| of the
+sum of its members' row coordinates.
 
 Every norm verdict (the scans, strong balancing, the far-partner and
 diameter/centroid checks, the branch and bound, and the proximity graph and
@@ -28,20 +28,24 @@ Exact-mode comparisons are exact; float mode accepts ``1 + TOLERANCE``
 (``scalars.unit_limit``).  In exact mode the value of an lp norm with an
 integer 1 < p < inf is the exact p-th power sum |c|^p, compared with the
 p-th power of the threshold (``Gauge.scale``) and reported with
-``margin_pow``.  The branch and bound is one depth-first loop that keeps
-the (k-1)-subset sums of its chosen prefix.
+``margin_pow``.  The branch and bound is one depth-first loop with forward
+checking: each node filters its remaining candidates through the chosen
+prefix, in row coordinates for a polyhedral norm (one interval per row:
+a candidate fits iff adding it to the top and to the bottom k-1 chosen
+values of each row stays within the row's limit) and through the
+(k-1)-subset sums of the prefix for the other norms.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .linalg import dot
 from .lp import OPTIMAL, linprog_exact
 from .scalars import (TOLERANCE, Scalar, format_scalar, parse_scalar, snap_rational, unit_floor,
                       unit_limit, vectors_exact)
@@ -49,7 +53,7 @@ from .spaces import Gauge, NormSpace, check_vector, gauge, space_from_json, spac
 from .subsets import revolving_door, sample_subsets
 
 FULL_COLLAPSE_MAX_M = 24  # 2^m enumeration guard
-BNB_MAX_WORK = 3_000_000  # branch-and-bound guard: candidates tried + subset sums tested or kept
+BNB_MAX_WORK = 3_000_000  # branch-and-bound guard: nodes + candidate tests
 
 
 @dataclass(frozen=True)
@@ -129,16 +133,16 @@ def _scan(family: VectorFamily, subsets: Iterable[tuple], g: Gauge):
     The running sum moves from one subset to the next by their symmetric
     difference, or is rebuilt from zero when the difference is larger than
     the new subset.  The value is the norm, or its p-th power (``g.power``).
-    With slab rows (``g.rows``) the members are mapped once to their
-    pairings with the rows, and the norm of a sum is its largest |entry|.
+    With a row map (``g.row_map``) the members are mapped once to their
+    row coordinates, and the norm of a sum is its largest |entry|.
     The witness is a sorted 1-based tuple; both results are None for an
     empty stream.
     """
     limit = unit_limit(g.exact)
-    if g.rows is None:
+    if g.row_map is None:
         vectors, value = family.vectors, g.value
     else:
-        vectors = [tuple(dot(f, v) for f in g.rows) for v in family.vectors]
+        vectors = [g.row_map(v) for v in family.vectors]
         value = lambda y: max(abs(c) for c in y)
     dim = len(vectors[0])
     running = [0] * dim
@@ -403,62 +407,128 @@ def diameter_centroid_check(family: VectorFamily) -> DiameterCentroidReport:
 # Branch and bound for the largest k-collapsing sub-multiset
 
 
+class _RowIntervals:
+    """Which candidates may join the chosen set, in integer row coordinates.
+
+    ``table`` holds each candidate's row coordinates.  Each row is scaled to
+    integers by the lcm of its own denominators, which scales its limit 1 to
+    that lcm.  A candidate u fits iff, in every row j, u_j plus the top k-1
+    chosen values stays <= the limit and u_j plus the bottom k-1 stays >=
+    -limit: those are the largest and smallest k-subset sums through u.  The
+    test is vacuous while fewer than k-1 members are chosen.
+    """
+
+    def __init__(self, table, k):
+        self.k = k
+        self.limits = [lcm(*(c.denominator for c in col)) for col in zip(*table)]
+        self.cols = [[c.numerator * (s // c.denominator) for c in col]
+                     for s, col in zip(self.limits, zip(*table))]
+        self.chosen = [[] for _ in self.cols]  # each row's chosen values, sorted
+
+    def push(self, c):
+        for col, vals in zip(self.cols, self.chosen):
+            insort(vals, col[c])
+
+    def pop(self, c):
+        for col, vals in zip(self.cols, self.chosen):
+            vals.remove(col[c])
+
+    def narrow(self, rest):
+        """(the candidates of ``rest`` that fit, the candidate tests made)."""
+        tests, r = len(rest), self.k - 1
+        if len(self.chosen[0]) >= r:
+            for col, vals, lim in zip(self.cols, self.chosen, self.limits):
+                hi, lo = lim - sum(vals[len(vals) - r:]), -lim - sum(vals[:r])
+                rest = [u for u in rest if lo <= col[u] <= hi]
+        return rest, tests
+
+
+class _SubsetSums:
+    """Which candidates may join the chosen set, by the chosen (k-1)-subset
+    sums: u fits iff every k-subset sum through u has gauge value <= 1.
+    ``sums[j]`` lists the j-subset sums of the chosen set, j < k, and each
+    sum a candidate is tested against counts as one test."""
+
+    def __init__(self, vectors, k, value):
+        self.vectors, self.k, self.value = vectors, k, value
+        self.sums = [[(0,) * len(vectors[0])]] + [[] for _ in range(k - 1)]
+        self.saved = []
+
+    def push(self, c):
+        v, sums = self.vectors[c], self.sums
+        self.saved.append([len(s) for s in sums])
+        for j in range(self.k - 1, 0, -1):
+            sums[j] += [tuple(a + b for a, b in zip(s, v)) for s in sums[j - 1]]
+
+    def pop(self, c):
+        for s, size in zip(self.sums, self.saved.pop()):
+            del s[size:]
+
+    def narrow(self, rest):
+        """(the candidates of ``rest`` that fit, the candidate tests made)."""
+        top, value, vectors = self.sums[-1], self.value, self.vectors
+        kept = [u for u in rest
+                if all(value([a + b for a, b in zip(s, vectors[u])]) <= 1 for s in top)]
+        return kept, len(rest) * max(1, len(top))
+
+
 def bnb_max_subfamily(candidates: VectorFamily, k: int):
     """Exact maximum k-collapsing sub-multiset by branch and bound.
 
-    Candidates are scanned in descending-norm-then-lexicographic order;
-    pruning combines the remaining-count bound with incremental k-subset
-    feasibility (only subsets containing the newly added vector need
-    checking).  Returns (indices into the candidate family, 1-based,
-    in scan order of the optimum).  Raises ``PreconditionError`` for
-    k < 1, and once the candidates tried plus the subset sums tested or
-    kept exceed ``BNB_MAX_WORK`` (a few seconds of work).
+    Candidates are scanned in descending-norm-then-lexicographic order.
+    The search is one depth-first loop with forward checking (Haralick and
+    Elliott 1980): each node keeps the list of remaining candidates that
+    fit its chosen set, and bounds its subtree by its size plus the length
+    of that list.  A candidate that does not fit a node fits none of its
+    descendants, so the filtered lists cut the tree without changing the
+    order of the nodes that remain, and the first maximum found is the one
+    the plain remaining-count bound finds.  For a polyhedral norm the test
+    is one interval per row in integer row coordinates (``_RowIntervals``),
+    and otherwise it checks the chosen (k-1)-subset sums (``_SubsetSums``).
+    Returns (indices into the candidate family, 1-based, in scan order of
+    the optimum).  Raises ``PreconditionError`` for k < 1, and once the
+    nodes plus the candidate tests exceed ``BNB_MAX_WORK`` (a few seconds
+    of work).
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
     if not candidates.is_exact():
         raise PreconditionError("branch and bound requires exact arithmetic")
-    value = candidates.gauge().value
+    g = candidates.gauge()
     order = sorted(
         range(candidates.m),
-        key=lambda i: (-value(candidates.vectors[i]), candidates.vectors[i]),
+        key=lambda i: (-g.value(candidates.vectors[i]), candidates.vectors[i]),
     )
     vectors = [candidates.vectors[i] for i in order]
-    n = len(vectors)
-    # sums[j] holds the j-subset sums of the chosen prefix, j < k
-    sums: list[list[tuple]] = [[(0,) * len(vectors[0])]] + [[] for _ in range(k - 1)]
+    if g.row_map is None:
+        fits = _SubsetSums(vectors, k, g.value)
+    else:
+        fits = _RowIntervals([g.row_map(v) for v in vectors], k)
     best: list[int] = []
     stack: list[int] = []
     work = 0
 
-    def extend(start: int) -> None:
+    def extend(cands: list) -> None:
         nonlocal best, work
         if len(stack) > len(best):
             best = stack.copy()
-        for c in range(start, n):
-            if len(stack) + (n - c) <= len(best):
+        for i, c in enumerate(cands):
+            if len(stack) + len(cands) - i <= len(best):
                 break
-            work += 1 + len(sums[k - 1])
+            stack.append(c)
+            fits.push(c)
+            rest, tests = fits.narrow(cands[i + 1:])
+            work += 1 + tests
             if work > BNB_MAX_WORK:
                 raise PreconditionError(
-                    f"branch and bound capped at {BNB_MAX_WORK} steps (candidates tried, "
-                    "subset sums tested or kept); "
-                    f"{n} candidates are too many for k = {k}"
+                    f"branch and bound capped at {BNB_MAX_WORK} steps (nodes and candidate "
+                    f"tests); {len(vectors)} candidates are too many for k = {k}"
                 )
-            v = vectors[c]
-            if any(value([a + b for a, b in zip(s, v)]) > 1 for s in sums[k - 1]):
-                continue
-            saved = [len(s) for s in sums]
-            work += sum(saved[:-1])
-            for j in range(k - 1, 0, -1):
-                sums[j] += [tuple(a + b for a, b in zip(s, v)) for s in sums[j - 1]]
-            stack.append(c)
-            extend(c + 1)
+            extend(rest)
+            fits.pop(c)
             stack.pop()
-            for j in range(1, k):
-                del sums[j][saved[j]:]
 
-    extend(0)
+    extend(fits.narrow(list(range(len(vectors))))[0])
     return tuple(sorted(order[i] + 1 for i in best))
 
 

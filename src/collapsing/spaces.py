@@ -13,7 +13,8 @@ A vector is a plain tuple of scalars of length ``ambient_dim``.
 ``gauge`` is the one place that reads the space kind: it compiles the norm
 into a ``Gauge`` that holds the value every verdict compares (the norm, or
 in exact mode the p-th power of an lp norm with integer 1 < p < inf), that
-power, the dual unit vector and, in a slab space, the rows of the ball.
+power, the dual unit vector and, for the polyhedral norms (sup and slab),
+the map of a vector to its row coordinates.
 ``norm_eval`` and ``dual_unit_vector`` check their argument
 (``check_vector``: the length and, in an l1 subspace, membership) and then
 make one call to a gauge.  Dual unit vectors on non-smooth norms use
@@ -178,8 +179,12 @@ class Gauge:
     ``value`` maps a vector to what every verdict compares with a
     threshold: the norm, or its ``power``-th power.  ``dual`` maps a nonzero
     vector x to a functional f with ||f||* = 1 and <f, x> = ||x||.  Neither
-    checks its argument.  ``rows`` holds the rows f of a slab ball
-    {x : |<f, x>| <= 1}, cap included, and is None for the other kinds.
+    checks its argument.  ``row_map`` maps a vector x of a polyhedral
+    ball {x : |<f, x>| <= 1 for every row f} to its row coordinates
+    (<f, x>)_f, so that ||x|| is their largest |entry|: the pairings with
+    the slab rows (cap included) in a slab space, the coordinates
+    themselves for the sup norm.  It is None for the norms that do not
+    split into rows (l1, l1 subspaces and lp with p < inf).
     """
 
     space: NormSpace
@@ -187,7 +192,7 @@ class Gauge:
     value: Callable
     power: int | None
     dual: Callable
-    rows: list | None
+    row_map: Callable | None
 
     def scale(self, threshold):
         """A norm threshold on the scale of ``value``: itself, or its power.
@@ -208,15 +213,16 @@ def gauge(space: NormSpace, exact: bool = False) -> Gauge:
     ``value`` is the norm; an lp norm with an integer p is exact when the
     data and the root are rational, and a float root otherwise.  The dual
     does not depend on ``exact``.  Slab rows (cap included) are built once
-    and kept as ``rows``, and the polyhedral duals (slab and sup) read the
+    for ``row_map``, and the polyhedral duals (slab and sup) read the
     lowest attaining row from the one pass of inner products that gives the
     norm.  For an exact vector in an lp space with 1 < p < inf the dual is
     exact when p is an integer and the norm is rational, and raises
     ``PreconditionError`` otherwise.
     """
-    power = rows = None
+    power = row_map = None
     if space.kind == "slab":
         rows = _slab_rows(space)
+        row_map = lambda x: tuple(dot(f, x) for f in rows)
         value = lambda x: max(abs(dot(f, x)) for f in rows)
         dual = lambda x: _polyhedral_dual([dot(f, x) for f in rows], rows)
     elif space.kind == "l1sub" or space.p == 1:
@@ -224,6 +230,7 @@ def gauge(space: NormSpace, exact: bool = False) -> Gauge:
     elif space.kind != "lp":
         raise ValueError(f"unknown space kind {space.kind}")
     elif space.p == math.inf:
+        row_map = tuple
         value = lambda x: max((abs(c) for c in x), default=0)
         dual = lambda x: _polyhedral_dual(x, None)
     else:
@@ -261,7 +268,7 @@ def gauge(space: NormSpace, exact: bool = False) -> Gauge:
                 return tuple(c / nrm for c in x)
             return tuple(((c > 0) - (c < 0)) * abs(c) ** (n - 1) / nrm ** (n - 1) for c in x)
 
-    return Gauge(space, exact, value, power, dual, rows)
+    return Gauge(space, exact, value, power, dual, row_map)
 
 
 def norm_eval(space: NormSpace, x: Sequence[Scalar]) -> Scalar:

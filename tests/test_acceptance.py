@@ -342,7 +342,8 @@ def test_criterion_12_equitable_coloring():
 
 def test_criterion_13_sign_vector_search():
     t0 = time.perf_counter()
-    expected = {(2, 2): 4, (2, 3): 4, (3, 2): 6, (3, 4): 6}
+    expected = {(2, 2): 4, (2, 3): 4, (3, 2): 6, (3, 4): 6,
+                (4, 2): 8, (3, 5): 6, (3, 6): 7, (4, 3): 8, (5, 2): 10}
     for (d, k), target in expected.items():
         candidates = [
             v for v in itertools.product((-1, 0, 1), repeat=d) if any(c != 0 for c in v)

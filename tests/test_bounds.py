@@ -179,6 +179,15 @@ class TestLowerBounds:
         assert not lb_polynomial(2, 7).applicable
         assert lb_polynomial(2, 43).value_int == 343
 
+    def test_past_binary64(self):
+        # The float power overflows: its floor cannot come from the float.
+        r = lb_greedy(2, 40000)
+        assert not r.applicable and "exceeds binary64" in r.note
+        # q^(c+2) stays exact; only its float form is dropped.
+        r = lb_polynomial(2, 400000)
+        q, c = (int(part.split("=")[1]) for part in r.note.split(", "))
+        assert r.value is None and r.value_int == q ** (c + 2) > 2 ** 1024
+
     def test_prime_power_helpers(self):
         assert is_prime_power(8) == (2, 3)
         assert is_prime_power(9) == (3, 2)

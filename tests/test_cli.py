@@ -338,16 +338,74 @@ def test_gram_float_integral_p_is_exact(tmp_path, capsys):
 
 @pytest.mark.parametrize("d, k, message", [("2", "0", "k must be at least 1"),
                                             ("2", "-1", "k must be at least 1"),
-                                            ("2", "2", "capped at 83 steps")])
+                                            ("2", "2", "capped at 42 steps")])
 def test_search_bad_or_too_large_is_usage_error(monkeypatch, capsys, d, k, message):
-    # k = 0 used to print the k = 1 answer; d = 5 used to run for minutes.
-    # The l_inf^2 sign vectors at k = 2 take 84 steps, so a cap of 83 trips.
-    monkeypatch.setattr(family_module, "BNB_MAX_WORK", 83)
+    # k = 0 used to print the k = 1 answer.  The l_inf^2 sign vectors at
+    # k = 2 take 43 steps (nodes and candidate tests), so a cap of 42 trips.
+    monkeypatch.setattr(family_module, "BNB_MAX_WORK", 42)
     code = main(["search", "--d", d, "--k", k])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_search_d5_k2_answers(capsys):
+    # About 1.75 M candidate tests, inside the real cap.
+    code, out = run(capsys, "search", "--d", "5", "--k", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["max_size"] == 10
+    assert len(report["witness"]) == 10
+
+
+def test_search_d6_k2_meets_the_cap(capsys):
+    code = main(["search", "--d", "6", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"capped at {family_module.BNB_MAX_WORK} steps" in captured.err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# The float forms of these bounds pass the binary64 range: rank-power's
+# k^(2 gamma_k d + 2) at the first three, volume-coloring's value at the last.
+OVERFLOW_CELLS = [(2, 512, "rank-power"), (3, 910, "rank-power"), (5, 1911, "rank-power"),
+                  (9, 3527, "volume-coloring")]
+
+
+@pytest.mark.parametrize("k, d, name", OVERFLOW_CELLS)
+@pytest.mark.parametrize("flag", [[], ["--best"]])
+def test_bound_past_binary64_best(capsys, k, d, name, flag):
+    code, out = run(capsys, "bound", "--k", str(k), "--d", str(d), *flag)
+    assert code == 0
+    best = _strict_json(out)
+    assert best["best_lower"] <= best["best_upper"]
+
+
+@pytest.mark.parametrize("k, d, name", OVERFLOW_CELLS)
+def test_bound_past_binary64_all(capsys, k, d, name):
+    code, out = run(capsys, "bound", "--k", str(k), "--d", str(d), "--all")
+    assert code == 0
+    results = {r["name"]: r for r in _strict_json(out)}
+    if name == "rank-power":
+        assert results[name]["applicable"] is False
+        assert "exceeds binary64" in results[name]["note"]
+    else:
+        assert results[name]["applicable"] is True
+        assert results[name]["value"] is None
+        assert isinstance(results[name]["value_int"], int)
+    finite = [r for r in results.values()
+              if r["applicable"] and r["quantity"] == "C" and r["value"] != "asymptotic-only"]
+    best_lower = max(r["value_int"] for r in finite if r["kind"] == "lower")
+    best_upper = min(r["value_int"] for r in finite if r["kind"] != "lower")
+    assert best_lower <= best_upper
 
 
 def _refuse_oracle_work(*args, **kwargs):

@@ -15,6 +15,7 @@ from collapsing.constructions import (
     fixture_Y,
     lift_almost_orthogonal,
     linf_cross,
+    pk_polytope_norm,
     polynomial_vectors,
 )
 from collapsing.errors import InvariantError, PreconditionError
@@ -66,6 +67,43 @@ def drawn_family(data, m):
     basis = ((1, 0, 1, -1), (0, 1, -1, 1))
     vectors = [tuple(a * u + b * v for u, v in zip(*basis)) for a, b in pairs]
     return make_family(l1_subspace(4, basis), vectors), lambda x: sum(abs(c) for c in x)
+
+
+def _bnb_reference(candidates, k):
+    """The branch and bound as one depth-first loop that keeps every j-subset
+    sum (j < k) of its chosen prefix and tests each candidate against the
+    (k-1)-subset sums, with the plain remaining-count bound and no cap."""
+    value = candidates.gauge().value
+    order = sorted(
+        range(candidates.m),
+        key=lambda i: (-value(candidates.vectors[i]), candidates.vectors[i]),
+    )
+    vectors = [candidates.vectors[i] for i in order]
+    n = len(vectors)
+    sums = [[(0,) * len(vectors[0])]] + [[] for _ in range(k - 1)]
+    best, stack = [], []
+
+    def extend(start):
+        nonlocal best
+        if len(stack) > len(best):
+            best = stack.copy()
+        for c in range(start, n):
+            if len(stack) + (n - c) <= len(best):
+                break
+            v = vectors[c]
+            if any(value([a + b for a, b in zip(s, v)]) > 1 for s in sums[k - 1]):
+                continue
+            saved = [len(s) for s in sums]
+            for j in range(k - 1, 0, -1):
+                sums[j] += [tuple(a + b for a, b in zip(s, v)) for s in sums[j - 1]]
+            stack.append(c)
+            extend(c + 1)
+            stack.pop()
+            for j in range(1, k):
+                del sums[j][saved[j]:]
+
+    extend(0)
+    return tuple(sorted(order[i] + 1 for i in best))
 
 
 def brute_force(vectors, norm, subsets):
@@ -519,13 +557,34 @@ class TestBranchAndBound:
             bnb_max_subfamily(family, k)
 
     def test_work_cap(self, monkeypatch):
-        # The sign vectors of l_inf^2 at k = 2 take 84 steps.
+        # The sign vectors of l_inf^2 at k = 2 take 43 steps (nodes and
+        # candidate tests).
         family = make_family(linf_space(2), sign_vectors(2))
-        monkeypatch.setattr(family_module, "BNB_MAX_WORK", 84)
+        monkeypatch.setattr(family_module, "BNB_MAX_WORK", 43)
         assert len(bnb_max_subfamily(family, 2)) == 4
-        monkeypatch.setattr(family_module, "BNB_MAX_WORK", 83)
-        with pytest.raises(PreconditionError, match="capped at 83 steps"):
+        monkeypatch.setattr(family_module, "BNB_MAX_WORK", 42)
+        with pytest.raises(PreconditionError, match="capped at 42 steps"):
             bnb_max_subfamily(family, 2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_intervals_choose_what_subset_sums_choose(self, data):
+        """Forward checking in row coordinates picks the very tuple that the
+        plain loop over (k-1)-subset sums picks, on sup, capped slab and
+        layered-cube families with entries in thirds and halves."""
+        kind = data.draw(st.sampled_from(("linf", "slab", "layered-cube")))
+        m = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, m + 1))
+        coeff = st.sampled_from((-1, 0, 1, F(1, 2), F(-1, 2), F(1, 3), F(-2, 3), F(3, 2)))
+        if kind == "linf":
+            space = linf_space(data.draw(st.integers(1, 3)))
+        elif kind == "slab":
+            space = slab_space([(1, 0), (1, 1)], cap=((1, -1), 2))
+        else:
+            space = pk_polytope_norm(data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3)))
+        vectors = [tuple(data.draw(coeff) for _ in range(space.dim)) for _ in range(m)]
+        family = make_family(space, vectors)
+        assert bnb_max_subfamily(family, k) == _bnb_reference(family, k)
 
 
 class TestComplementMonotonicity:
