@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -71,6 +72,8 @@ EXIT_OK = 0
 EXIT_CONDITION_FAILS = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
+
+_LOG10_2 = math.log10(2)
 
 
 def _emit(obj) -> None:
@@ -151,12 +154,36 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.holds else EXIT_CONDITION_FAILS
 
 
+def _check_printable(k: int, d: int, values) -> None:
+    """Refuse, as a usage error, any (name, int) that ``json.dumps`` cannot
+    print: Python turns no int of more than ``sys.get_int_max_str_digits()``
+    digits into a string.  The digit count is read off ``bit_length``; only
+    a value within one digit of the limit is compared with 10**limit."""
+    # Absent before Python 3.10.7, where ints have no digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    for name, n in values:
+        if n is None:
+            continue
+        n = abs(n)
+        digits = int(n.bit_length() * _LOG10_2) + 1  # the digit count or one more
+        if digits > limit + 1 or (digits == limit + 1 and n >= 10**limit):
+            raise PreconditionError(
+                f"{name} at (k={k}, d={d}) has more than {limit} digits, past Python's "
+                f"int_max_str_digits limit; choose a smaller d"
+            )
+
+
 def cmd_bound(args) -> int:
     k, d = args.k, args.d
     if args.p is not None and args.p < 1:
         raise PreconditionError(f"need p >= 1, got {args.p}")
     if args.best or not args.all:
         bb = best_bounds(k, d)
+        _check_printable(
+            k, d, [("best_lower", bb.best_lower), ("best_upper", bb.best_upper), ("exact", bb.exact)]
+        )
         _emit(bb.to_json())
         return EXIT_OK
     results = [
@@ -175,6 +202,7 @@ def cmd_bound(args) -> int:
         results.append(ub_near_euclidean(k, dist_sq=args.dist_sq))
     if args.lam_sq is not None:
         results.append(ub_euclidean(k, lam_sq=args.lam_sq))
+    _check_printable(k, d, [(r.name, r.value_int) for r in results])
     _emit([r.to_json() for r in results])
     return EXIT_OK
 

@@ -244,7 +244,9 @@ def check_weak_balancing(family: VectorFamily) -> ConditionReport:
 
     The origin lies in the relative interior iff it admits a convex
     representation with all weights strictly positive, so we maximise the
-    minimum weight by an exact LP; floats are rationalised first because
+    minimum weight mu by one exact LP, which ``lp.linprog_exact`` solves on
+    an integer tableau; the margin is that mu, and 0 when no convex
+    representation exists.  Floats are rationalised first because
     relative-interior membership is not robust under rounding.
     """
     vectors = [[snap_rational(c) for c in v] for v in family.vectors]

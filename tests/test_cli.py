@@ -408,6 +408,29 @@ def test_bound_past_binary64_all(capsys, k, d, name):
     assert best_lower <= best_upper
 
 
+# volume-coloring's exact value at k = 2 is 2^(d+1) + 1: 4,300 digits at
+# d = 14283, one more than Python prints as a string from d = 14284.
+@pytest.mark.parametrize("flag", [[], ["--best"], ["--all"]])
+def test_bound_past_the_int_digit_limit_exits_2(capsys, flag):
+    code = main(["bound", "--k", "2", "--d", "14290", *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "more than 4300 digits" in captured.err
+
+
+@pytest.mark.parametrize("flag", [[], ["--best"], ["--all"]])
+@pytest.mark.parametrize("d", [14280, 14283])
+def test_bound_below_the_int_digit_limit_prints(capsys, flag, d):
+    code, out = run(capsys, "bound", "--k", "2", "--d", str(d), *flag)
+    assert code == 0
+    if flag == ["--all"]:
+        results = {r["name"]: r for r in _strict_json(out)}
+        assert results["volume-coloring"]["value_int"] == 2 ** (d + 1) + 1
+    else:
+        assert _strict_json(out)["best_upper"] == 2 ** (d + 1) + 1
+
+
 def _refuse_oracle_work(*args, **kwargs):
     raise AssertionError("the oracle ran before its arguments were checked")
 

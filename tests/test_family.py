@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -364,6 +365,27 @@ class TestBalancing:
             linf_space(2), [(1, 0), (-1, 1), (-1, -1)]
         )
         assert check_weak_balancing(family).holds
+
+    def test_weak_lift_pinned(self):
+        # Every lifted vector ends in 1, so the LP is infeasible: margin 0.
+        _, family = lift_almost_orthogonal(polynomial_vectors(FiniteFieldParams(q=7, s=1)), 2)
+        report = check_weak_balancing(family)
+        assert (report.holds, report.margin) == (False, 0)
+
+    def test_weak_balanced_sup_pinned(self):
+        # The converse construction with zero row sums (m = 20, k = 3): each
+        # row is t on the diagonal and -t/(m-1) elsewhere, for a seeded t,
+        # so the columns sum to zero and the best minimum weight is 1/m.
+        m, k = 20, 3
+        rng = random.Random(2012)
+        cap = min(F(m - 1, k), F(m - 1, m - k), F(3, 2))
+        rows = []
+        for i in range(m):
+            t = 1 + (cap - 1) * F(rng.randint(0, 8), 8)
+            rows.append([t if j == i else -t / (m - 1) for j in range(m)])
+        family = make_family(linf_space(m), [tuple(col) for col in zip(*rows)])
+        report = check_weak_balancing(family)
+        assert (report.holds, report.margin) == (True, F(1, 20))
 
 
 class TestScalarChecks:
